@@ -19,10 +19,9 @@
 //! - [`mod@bench`]: a warmup+samples micro-benchmark harness reporting
 //!   min/median/p95 per benchmark with machine-readable JSON output;
 //! - [`pool`]: a scoped worker pool with fixed worker count, panic
-//!   propagation, and deterministic in-order result collection, plus a
-//!   [`pool::par_map`] helper and a supervised mode
-//!   ([`pool::Pool::run_supervised`]) that contains per-task panics,
-//!   retries deterministically, and quarantines persistent failures.
+//!   propagation (the lowest-indexed task's panic is re-raised), and
+//!   deterministic in-order result collection, plus a [`pool::par_map`]
+//!   helper.
 //!
 //! ## Why first-party
 //!
@@ -51,5 +50,5 @@ pub mod rng;
 
 pub use hash::{stable64, Hasher64};
 pub use json::{FromJson, Json, JsonError, Num, ToJson};
-pub use pool::{par_map, FaultInjector, FaultPolicy, Pool, TaskReport, TaskStatus};
+pub use pool::{par_map, Pool};
 pub use rng::{Rng, RngExt, SplitMix64, Xoshiro256pp};

@@ -21,7 +21,6 @@
 //! spawned, which keeps single-threaded runs trivially deterministic and
 //! makes the pool safe to use in environments where spawning is costly.
 
-use crate::rng::mix64;
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -236,223 +235,6 @@ impl Pool {
         }
         results
     }
-
-    /// Run `task` once per item under supervision: per-task panics are
-    /// contained instead of unwinding, failed tasks are retried up to
-    /// [`FaultPolicy::max_retries`] times, and tasks that keep failing are
-    /// quarantined into the returned [`TaskReport`].
-    ///
-    /// Determinism: the main wave runs attempt 0 of every task across the
-    /// pool; failures then drain on the *calling* thread in ascending
-    /// task-index order. The attempt schedule — which task ran how many
-    /// attempts — is therefore a pure function of task behaviour (and the
-    /// optional [`FaultInjector`]), never of worker scheduling, so a run
-    /// where task `i` succeeded on attempt `k` returns byte-identical
-    /// results to one where it succeeded on attempt 0, at any worker count.
-    ///
-    /// Items are borrowed (not consumed) because a retried task must see
-    /// the same input as the failed attempt. Tasks must be idempotent up to
-    /// their return value: a panicking attempt's partial effects are the
-    /// caller's responsibility to confine.
-    ///
-    /// Returns `(results, report)` where `results[i]` is `None` exactly
-    /// when `report.statuses[i]` is [`TaskStatus::Poisoned`].
-    pub fn run_supervised<T, R, F>(
-        self,
-        items: &[T],
-        policy: &FaultPolicy,
-        task: F,
-    ) -> (Vec<Option<R>>, TaskReport)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let n = items.len();
-        let attempt_one = |i: usize, attempt: usize| -> thread::Result<R> {
-            panic::catch_unwind(AssertUnwindSafe(|| {
-                if let Some(injector) = policy.injector.as_ref() {
-                    if injector.should_fail(i, attempt) {
-                        panic!("injected fault: task {i}, attempt {attempt}");
-                    }
-                }
-                task(i, &items[i])
-            }))
-        };
-
-        // Main wave: attempt 0 of every task across the pool. Each attempt
-        // is wrapped in `catch_unwind`, so the wave itself never unwinds.
-        let first: Vec<thread::Result<R>> = self.run((0..n).collect(), |_, i| attempt_one(i, 0));
-
-        let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-        let mut statuses = vec![TaskStatus::Ok; n];
-        // tft-lint: allow(hot-path-alloc, reason = "once per supervised wave, not per task; empty Vec allocates nothing until a task actually fails")
-        let mut failed: Vec<(usize, String)> = Vec::new();
-        for (i, outcome) in first.into_iter().enumerate() {
-            match outcome {
-                Ok(r) => results.push(Some(r)),
-                Err(payload) => {
-                    failed.push((i, panic_message(payload.as_ref())));
-                    results.push(None);
-                }
-            }
-        }
-
-        // Retry drain: sequential, ascending task index, on the calling
-        // thread — independent of how the wave was scheduled.
-        // tft-lint: allow(hot-path-alloc, reason = "once per supervised wave; empty Vec allocates nothing unless tasks poison")
-        let mut quarantined = Vec::new();
-        for (i, mut last_msg) in failed {
-            let mut recovered = false;
-            for attempt in 1..=policy.max_retries {
-                match attempt_one(i, attempt) {
-                    Ok(r) => {
-                        results[i] = Some(r);
-                        statuses[i] = TaskStatus::Retried(attempt);
-                        recovered = true;
-                        break;
-                    }
-                    Err(payload) => last_msg = panic_message(payload.as_ref()),
-                }
-            }
-            if !recovered {
-                statuses[i] = TaskStatus::Poisoned;
-                quarantined.push((i, last_msg));
-            }
-        }
-
-        (
-            results,
-            TaskReport {
-                statuses,
-                quarantined,
-            },
-        )
-    }
-}
-
-/// Best-effort rendering of a caught panic payload for quarantine records.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        // tft-lint: allow(hot-path-alloc, reason = "failure path only: runs once per caught panic, never on the success path")
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        // tft-lint: allow(hot-path-alloc, reason = "failure path only: runs once per caught panic, never on the success path")
-        s.clone()
-    } else {
-        // tft-lint: allow(hot-path-alloc, reason = "failure path only: runs once per caught panic, never on the success path")
-        "non-string panic payload".to_string()
-    }
-}
-
-/// How [`Pool::run_supervised`] responds to task failure.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPolicy {
-    /// Additional attempts after the first. `0` contains panics but never
-    /// retries — every failed task is quarantined immediately.
-    pub max_retries: usize,
-    /// Optional deterministic fault injection (test seam).
-    pub injector: Option<FaultInjector>,
-}
-
-impl FaultPolicy {
-    /// A policy that retries each failed task up to `max_retries` times.
-    pub fn retries(max_retries: usize) -> Self {
-        FaultPolicy {
-            max_retries,
-            injector: None,
-        }
-    }
-
-    /// Attach a deterministic fault injector.
-    pub fn with_injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-}
-
-/// Deterministic transient-panic injection for supervision tests.
-///
-/// Whether task `i` fails on attempt `a` is a pure function of
-/// `(seed, i, a)`: a hash of the seed and task index selects faulty tasks
-/// at roughly `fail_per_mille`/1000 probability and assigns each a fault
-/// count in `1..=max_faults_per_task`; attempts below that count panic,
-/// later attempts succeed. Identical across worker counts and runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultInjector {
-    seed: u64,
-    fail_per_mille: u32,
-    max_faults_per_task: u32,
-}
-
-impl FaultInjector {
-    /// An injector failing ~`fail_per_mille`/1000 of tasks, each for
-    /// `1..=max_faults_per_task` leading attempts.
-    pub fn seeded(seed: u64, fail_per_mille: u32, max_faults_per_task: u32) -> Self {
-        FaultInjector {
-            seed,
-            fail_per_mille,
-            max_faults_per_task,
-        }
-    }
-
-    /// How many leading attempts of task `index` will panic.
-    pub fn faults_for(&self, index: usize) -> u32 {
-        if self.fail_per_mille == 0 || self.max_faults_per_task == 0 {
-            return 0;
-        }
-        let h = mix64(self.seed ^ mix64(index as u64 ^ 0x7466_745f_6661_756c));
-        if (h % 1000) as u32 >= self.fail_per_mille {
-            return 0;
-        }
-        1 + (mix64(h) % u64::from(self.max_faults_per_task)) as u32
-    }
-
-    /// Whether attempt `attempt` (0-based) of task `index` should panic.
-    pub fn should_fail(&self, index: usize, attempt: usize) -> bool {
-        u32::try_from(attempt).is_ok_and(|a| a < self.faults_for(index))
-    }
-}
-
-/// Per-task outcome under [`Pool::run_supervised`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskStatus {
-    /// Succeeded on the first attempt.
-    Ok,
-    /// Succeeded on retry `n` (after `n` failed attempts).
-    Retried(usize),
-    /// Failed every attempt; quarantined, result slot is `None`.
-    Poisoned,
-}
-
-/// Supervision summary returned by [`Pool::run_supervised`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TaskReport {
-    /// One status per task, in task-index order.
-    pub statuses: Vec<TaskStatus>,
-    /// `(task index, last panic message)` for each poisoned task, in
-    /// ascending index order.
-    pub quarantined: Vec<(usize, String)>,
-}
-
-impl TaskReport {
-    /// True when every task succeeded on its first attempt.
-    pub fn all_ok(&self) -> bool {
-        self.statuses.iter().all(|s| *s == TaskStatus::Ok)
-    }
-
-    /// Indices of quarantined tasks, ascending.
-    pub fn poisoned(&self) -> Vec<usize> {
-        self.quarantined.iter().map(|(i, _)| *i).collect()
-    }
-
-    /// Number of tasks that needed at least one retry to succeed.
-    pub fn retried(&self) -> usize {
-        self.statuses
-            .iter()
-            .filter(|s| matches!(s, TaskStatus::Retried(_)))
-            .count()
-    }
 }
 
 /// Map `f` over `items` on a pool of `workers` threads, preserving order.
@@ -518,34 +300,38 @@ mod tests {
 
     #[test]
     fn setup_observer_brackets_setup_on_the_calling_thread() {
-        use std::sync::atomic::AtomicU32;
-        static ENTERS: AtomicU32 = AtomicU32::new(0);
-        static EXITS: AtomicU32 = AtomicU32::new(0);
+        use std::cell::Cell;
+        // Thread-local counts: the hook is process-wide, and other tests in
+        // this binary run threaded pools concurrently on their own threads.
+        // Counting per thread sees only this test's runs, and would miss a
+        // hook that fired on a worker instead of the calling thread.
+        thread_local! {
+            static ENTERS: Cell<u32> = const { Cell::new(0) };
+            static EXITS: Cell<u32> = const { Cell::new(0) };
+        }
         fn enter() {
-            ENTERS.fetch_add(1, Ordering::SeqCst);
+            ENTERS.with(|c| c.set(c.get() + 1));
         }
         fn exit() {
-            EXITS.fetch_add(1, Ordering::SeqCst);
+            EXITS.with(|c| c.set(c.get() + 1));
         }
+        let counts = || (ENTERS.with(Cell::get), EXITS.with(Cell::get));
         // First registration wins; the process-wide hook stays set.
         let first = set_setup_observer(enter, exit);
         let second = set_setup_observer(enter, exit);
         assert!(!second || first, "second registration must not override");
-        let before_e = ENTERS.load(Ordering::SeqCst);
-        let before_x = EXITS.load(Ordering::SeqCst);
+        let (before_e, before_x) = counts();
         // Inline path (single worker): no setup, observer must not fire.
         let out = Pool::new(1).run(vec![1, 2, 3], |_, x| x * 2);
         assert_eq!(out, vec![2, 4, 6]);
         if first {
-            assert_eq!(ENTERS.load(Ordering::SeqCst), before_e);
-            assert_eq!(EXITS.load(Ordering::SeqCst), before_x);
+            assert_eq!(counts(), (before_e, before_x));
         }
         // Threaded path: exactly one enter/exit pair per run.
         let out = Pool::new(4).run(vec![1, 2, 3, 4], |_, x| x + 1);
         assert_eq!(out, vec![2, 3, 4, 5]);
         if first {
-            assert_eq!(ENTERS.load(Ordering::SeqCst), before_e + 1);
-            assert_eq!(EXITS.load(Ordering::SeqCst), before_x + 1);
+            assert_eq!(counts(), (before_e + 1, before_x + 1));
         }
     }
 
@@ -616,89 +402,6 @@ mod tests {
         let shown = err.to_string();
         assert!(shown.contains("slot 5"), "display: {shown}");
         assert!(shown.contains("wedged"), "display: {shown}");
-    }
-
-    #[test]
-    fn supervised_without_faults_matches_plain_run() {
-        for workers in [1, 2, 8] {
-            let items: Vec<u64> = (0..50).collect();
-            let (out, report) =
-                Pool::new(workers)
-                    .run_supervised(&items, &FaultPolicy::retries(2), |i, x| x * 3 + i as u64);
-            let expected: Vec<Option<u64>> = (0..50).map(|x| Some(x * 3 + x)).collect();
-            assert_eq!(out, expected, "workers={workers}");
-            assert!(report.all_ok(), "workers={workers}");
-            assert_eq!(report.retried(), 0);
-            assert!(report.quarantined.is_empty());
-        }
-    }
-
-    #[test]
-    fn supervised_injected_transients_recover_byte_identical() {
-        // Inject transient panics that succeed on a later attempt; results
-        // and the supervision report must be identical to the fault-free
-        // run at every worker count.
-        let items: Vec<u64> = (0..200).collect();
-        let clean: Vec<Option<u64>> = items.iter().map(|x| Some(x.wrapping_mul(31) ^ 7)).collect();
-        let injector = FaultInjector::seeded(0xC0FFEE, 300, 2);
-        let faulty: usize = (0..items.len())
-            .filter(|&i| injector.faults_for(i) > 0)
-            .count();
-        assert!(faulty > 10, "injector must actually fire (got {faulty})");
-        let mut reports = Vec::new();
-        for workers in [1, 2, 8] {
-            let policy = FaultPolicy::retries(3).with_injector(injector);
-            let (out, report) =
-                Pool::new(workers).run_supervised(&items, &policy, |_, x| x.wrapping_mul(31) ^ 7);
-            assert_eq!(out, clean, "workers={workers}");
-            assert_eq!(report.retried(), faulty, "workers={workers}");
-            assert!(report.quarantined.is_empty(), "workers={workers}");
-            reports.push(report);
-        }
-        // The full supervision report — statuses and attempt counts — is
-        // itself worker-count-invariant.
-        assert_eq!(reports[0], reports[1]);
-        assert_eq!(reports[1], reports[2]);
-    }
-
-    #[test]
-    fn supervised_quarantines_persistent_failures() {
-        let items: Vec<u32> = (0..30).collect();
-        for workers in [1, 4] {
-            let (out, report) =
-                Pool::new(workers).run_supervised(&items, &FaultPolicy::retries(2), |_, x| {
-                    if x % 7 == 0 {
-                        panic!("task {x} is cursed");
-                    }
-                    x * 2
-                });
-            for (i, slot) in out.iter().enumerate() {
-                if i % 7 == 0 {
-                    assert_eq!(*slot, None, "workers={workers} i={i}");
-                    assert_eq!(report.statuses[i], TaskStatus::Poisoned);
-                } else {
-                    assert_eq!(*slot, Some(i as u32 * 2), "workers={workers} i={i}");
-                    assert_eq!(report.statuses[i], TaskStatus::Ok);
-                }
-            }
-            assert_eq!(report.poisoned(), vec![0, 7, 14, 21, 28]);
-            let (idx, msg) = &report.quarantined[1];
-            assert_eq!(*idx, 7);
-            assert!(msg.contains("task 7 is cursed"), "msg: {msg}");
-        }
-    }
-
-    #[test]
-    fn supervised_zero_retries_still_contains_panics() {
-        let items = vec![1u8, 2, 3];
-        let (out, report) = Pool::new(2).run_supervised(&items, &FaultPolicy::default(), |_, x| {
-            if *x == 2 {
-                panic!("no second chances");
-            }
-            *x
-        });
-        assert_eq!(out, vec![Some(1), None, Some(3)]);
-        assert_eq!(report.statuses[1], TaskStatus::Poisoned);
     }
 
     #[test]

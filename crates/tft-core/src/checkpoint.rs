@@ -226,10 +226,10 @@ impl StudyDriver {
     }
 
     /// [`StudyDriver::restore`] with a caller-supplied pristine study-start
-    /// world (e.g. a gateway's world cache), skipping the worldgen rebuild.
-    /// The world must be exactly what `worldgen::build(&cp.spec)` produces;
-    /// the pinned watermarks verify as much.
-    pub fn restore_with_world(
+    /// world, skipping the worldgen rebuild. The world must be exactly what
+    /// `worldgen::build(&cp.spec)` produces; the pinned watermarks verify as
+    /// much.
+    pub(crate) fn restore_with_world(
         cp: &StudyCheckpoint,
         pristine: World,
         exec_opts: &ExecOptions,
@@ -293,7 +293,6 @@ impl StudyDriver {
             https_data: cp.https_data.clone(),
             monitor_data: cp.monitor_data.clone(),
             report: None,
-            fault: None,
         })
     }
 }

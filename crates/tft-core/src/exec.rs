@@ -27,6 +27,11 @@
 //!   order (shard evidence in task order, observations re-sorted by zID /
 //!   probe key), so `render_tables` and every golden are bit-identical at
 //!   any worker count.
+//! - A shard task is a pure function of its experiment, shard index, and
+//!   country plan over the shared snapshot, so a retry could only repeat a
+//!   failure. A task panic is a bug: [`substrate::pool::Pool::run`]
+//!   re-raises the lowest-indexed one and the study aborts, so no report
+//!   is ever rendered with a missing shard.
 //!
 //! The partition itself is LPT greedy (largest country first onto the
 //! lightest shard, ties broken by country code and shard index), which is
@@ -209,12 +214,6 @@ enum ShardData {
     Monitor(MonitorDataset),
 }
 
-/// One unit of wave work: experiment, shard index, its country plan. The
-/// shard's world fork is materialized inside the task (cheap `Arc` bump),
-/// so a supervised retry re-forks from the same pristine snapshot and is
-/// a pure function of this tuple.
-type WaveTask = (Experiment, usize, Vec<(CountryCode, usize)>);
-
 /// Run `experiments` as **one wave**: every (experiment × shard) pair
 /// becomes a task in a single work queue, all forked from the same
 /// study-start snapshot `base`, and the results are absorbed into `live`
@@ -235,18 +234,13 @@ type WaveTask = (Experiment, usize, Vec<(CountryCode, usize)>);
 /// returned datasets and `live`'s evidence log are byte-identical at any
 /// worker count.
 ///
+/// A shard task's panic propagates (lowest task index first) and aborts
+/// the study; see the module docs for why nothing retries it.
+///
 /// `deep_fork` is a test seam: when set, every shard world is deeply
 /// unshared after forking ([`World::unshare`]), which reproduces the old
 /// whole-clone execution exactly and pins the copy-on-write overlay to it.
-///
-/// `fault` selects supervised execution: per-task panics are contained and
-/// retried per the policy ([`substrate::pool::Pool::run_supervised`]); each
-/// retry re-forks the shard world from `base`, so an attempt that succeeds
-/// on retry `k` is byte-identical to one that succeeded immediately. Tasks
-/// still failing after every retry abort the wave with a named panic — a
-/// study must never render a report with a missing shard.
 // tft-lint: hot-root — shard bodies: every per-probe loop runs inside this
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_wave(
     live: &mut World,
     base: &World,
@@ -255,10 +249,9 @@ pub(crate) fn run_wave(
     workers: usize,
     experiments: &[Experiment],
     deep_fork: bool,
-    fault: Option<&pool::FaultPolicy>,
 ) -> Vec<ExpData> {
     let plans = plan_shards(&base.reported_country_counts(), SHARD_COUNT);
-    let tasks: Vec<WaveTask> = experiments
+    let tasks: Vec<_> = experiments
         .iter()
         .flat_map(|&exp| {
             plans
@@ -268,14 +261,13 @@ pub(crate) fn run_wave(
                 .map(move |(k, plan)| (exp, k, plan.clone()))
         })
         .collect();
-    let run_task = |&(exp, k, ref plan): &WaveTask| {
-        // tft-lint: allow(hot-path-alloc, reason = "per-attempt fork, not per-probe: base.clone() only bumps the shared world's Arcs, and re-forking per attempt is what makes supervised retries pure")
+    let finished = pool::par_map(workers, tasks, |(exp, k, plan)| {
+        // tft-lint: allow(hot-path-alloc, reason = "per-task fork, not per-probe: base.clone() only bumps the shared world's Arcs")
         let mut shard_world = base.clone();
         if deep_fork {
             shard_world.unshare();
         }
-        // tft-lint: allow(hot-path-alloc, reason = "per-attempt scope setup: a handful of country codes per shard")
-        let scope = ProbeScope::shard(k, plan.clone());
+        let scope = ProbeScope::shard(k, plan);
         let data = match exp {
             Experiment::Dns => ShardData::Dns(dns_exp::run_shard(&mut shard_world, cfg, scope)),
             Experiment::Http => ShardData::Http(http_exp::run_shard(&mut shard_world, cfg, scope)),
@@ -287,35 +279,7 @@ pub(crate) fn run_wave(
             }
         };
         (data, shard_world)
-    };
-    let finished: Vec<(ShardData, World)> = match fault {
-        None => pool::par_map(workers, tasks, |task| run_task(&task)),
-        Some(policy) => {
-            let (results, report) =
-                pool::Pool::new(workers).run_supervised(&tasks, policy, |_, task| run_task(task));
-            if !report.quarantined.is_empty() {
-                let detail: Vec<String> = report
-                    .quarantined
-                    .iter()
-                    .map(|(i, msg)| {
-                        let (exp, k, _) = &tasks[*i];
-                        // tft-lint: allow(hot-path-alloc, reason = "failure path only: formatting quarantine details immediately before the wave aborts")
-                        format!("{exp:?} shard {k} (task {i}): {msg}")
-                    })
-                    .collect();
-                panic!(
-                    "supervised wave: {} task(s) poisoned after {} retries: {}",
-                    detail.len(),
-                    policy.max_retries,
-                    detail.join("; ")
-                );
-            }
-            results
-                .into_iter()
-                .map(|r| r.expect("no task is poisoned, checked above"))
-                .collect()
-        }
-    };
+    });
 
     // Absorb in task order (experiment-major, shard-minor) — the same
     // canonical order regardless of worker count, and the same order a
@@ -547,9 +511,7 @@ mod tests {
             let mut world = worldgen::build(&worldgen::smoke_spec(7)).world;
             let base = world.clone();
             let mark = world.evidence_mark();
-            let out = run_wave(
-                &mut world, &base, &mark, &cfg, workers, &all, deep_fork, None,
-            );
+            let out = run_wave(&mut world, &base, &mark, &cfg, workers, &all, deep_fork);
             let data: Vec<String> = out
                 .iter()
                 .map(|d| match d {

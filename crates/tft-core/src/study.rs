@@ -134,7 +134,6 @@ pub fn run_study_with(
             Experiment::Monitor,
         ],
         false,
-        None,
     )
     .into_iter();
     let (
@@ -275,9 +274,6 @@ pub struct StudyDriver {
     pub(crate) https_data: Option<HttpsDataset>,
     pub(crate) monitor_data: Option<MonitorDataset>,
     pub(crate) report: Option<StudyReport>,
-    /// Supervised-execution policy for stage waves; `None` runs stages
-    /// unsupervised (a task panic unwinds, the historical behaviour).
-    pub(crate) fault: Option<substrate::pool::FaultPolicy>,
 }
 
 impl StudyDriver {
@@ -300,17 +296,7 @@ impl StudyDriver {
             https_data: None,
             monitor_data: None,
             report: None,
-            fault: None,
         }
-    }
-
-    /// Run stage waves under supervision: per-task panics are contained and
-    /// retried per `policy` instead of unwinding (see
-    /// [`substrate::pool::Pool::run_supervised`]). Retries re-fork their
-    /// shard from the study-start snapshot, so a stage where a shard
-    /// succeeded on retry `k` is byte-identical to a fault-free stage.
-    pub fn set_fault_policy(&mut self, policy: substrate::pool::FaultPolicy) {
-        self.fault = Some(policy);
     }
 
     /// The stage the next [`step`](StudyDriver::step) will run, or
@@ -395,7 +381,6 @@ impl StudyDriver {
             self.workers,
             &[exp],
             false,
-            self.fault.as_ref(),
         )
         .pop()
         .expect("run_wave returns one dataset per requested experiment")

@@ -38,9 +38,7 @@ use netsim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use substrate::json::Json;
-use tft_core::{
-    render_annex, render_tables, ExecOptions, StudyCheckpoint, StudyConfig, StudyDriver, StudyStage,
-};
+use tft_core::{render_annex, render_tables, ExecOptions, StudyConfig, StudyDriver, StudyStage};
 use worldgen::WorldSpec;
 
 /// Gateway tuning.
@@ -125,13 +123,6 @@ pub struct GatewayStats {
     pub worlds_built: u64,
     /// Studies actually executed end to end (tier-2 misses that did the work).
     pub studies_executed: u64,
-    /// Mid-study crashes (injected via [`Gateway::inject_crash_after`]).
-    pub crashes: u64,
-    /// Crashed studies resumed from their last stage-boundary checkpoint.
-    pub recoveries: u64,
-    /// Crashed studies that had to recompute from the start because their
-    /// checkpoint did not restore (the slow self-healing path).
-    pub recomputes: u64,
     /// Studies cancelled for exceeding the per-study deadline.
     pub deadline_cancelled: u64,
     /// Cached report bodies that failed digest verification (expelled,
@@ -145,16 +136,8 @@ struct Job {
     /// Virtual completion time of each remaining step; the first entry is
     /// the world build, the rest are [`StudyDriver`] stages in order.
     pending: VecDeque<SimTime>,
-    /// Populated by the build step; `None` *after* the build means the
-    /// in-memory driver was lost to a crash and must be revived from
-    /// `checkpoint` (or recomputed) before the next stage runs.
+    /// Populated by the build step, taken when the last stage completes.
     driver: Option<StudyDriver>,
-    /// Serialized [`StudyCheckpoint`] written after the build and after
-    /// every completed stage — the crash-recovery anchor.
-    checkpoint: Option<String>,
-    /// Driver stages completed so far (the recompute fallback fast-forwards
-    /// a fresh driver this many steps).
-    stages_done: usize,
     /// Virtual cancellation time, from admission + `study_deadline`.
     deadline: Option<SimTime>,
     /// Chunk-framed body emitted so far (what an incremental GET serves).
@@ -173,9 +156,6 @@ pub struct Gateway {
     jobs: BTreeMap<StudyKey, Job>,
     finished: BTreeMap<StudyKey, SimTime>,
     cancelled: BTreeMap<StudyKey, SimTime>,
-    /// One-shot fault seam: drop the running study's in-memory driver the
-    /// next time this stage completes.
-    crash_after: Option<StudyStage>,
     clock: SimTime,
     busy_until: SimTime,
     stats: GatewayStats,
@@ -190,7 +170,6 @@ impl Gateway {
             jobs: BTreeMap::new(),
             finished: BTreeMap::new(),
             cancelled: BTreeMap::new(),
-            crash_after: None,
             clock: SimTime::EPOCH,
             busy_until: SimTime::EPOCH,
             stats: GatewayStats::default(),
@@ -218,14 +197,6 @@ impl Gateway {
             _ => self.route_not_found(),
         };
         response.encode()
-    }
-
-    /// Arm the one-shot fault seam: the next time `stage` completes on any
-    /// running study, its in-memory driver is dropped — exactly what a
-    /// process crash at that boundary loses. The stage-boundary checkpoint
-    /// survives, and the next stage revives the study from it.
-    pub fn inject_crash_after(&mut self, stage: StudyStage) {
-        self.crash_after = Some(stage);
     }
 
     /// Test/chaos seam: corrupt `key`'s cached report body in place (its
@@ -282,15 +253,10 @@ impl Gateway {
             ),
             (
                 "recovery".to_string(),
-                Json::Obj(vec![
-                    ("crashes".to_string(), Json::uint(stats.crashes)),
-                    ("recoveries".to_string(), Json::uint(stats.recoveries)),
-                    ("recomputes".to_string(), Json::uint(stats.recomputes)),
-                    (
-                        "integrity_failures".to_string(),
-                        Json::uint(stats.integrity_failures),
-                    ),
-                ]),
+                Json::Obj(vec![(
+                    "integrity_failures".to_string(),
+                    Json::uint(stats.integrity_failures),
+                )]),
             ),
             (
                 "cache".to_string(),
@@ -374,8 +340,6 @@ impl Gateway {
                 spec,
                 pending,
                 driver: None,
-                checkpoint: None,
-                stages_done: 0,
                 deadline: self.cfg.study_deadline.map(|d| self.clock + d),
                 wire: Vec::new(),
                 body: Vec::new(),
@@ -445,14 +409,6 @@ impl Gateway {
     /// Move the virtual clock to `now` and run every step whose virtual
     /// completion time has passed. Jobs run strictly in admission order —
     /// the FIFO front gates everything behind it.
-    ///
-    /// Every step executes through the checkpointed driver: after the build
-    /// and after each non-final stage, the driver's serialized
-    /// [`StudyCheckpoint`] is written to the job, so a crash that loses the
-    /// in-memory driver (see [`Gateway::inject_crash_after`]) costs at most
-    /// one stage — the next step revives the study from its last
-    /// checkpoint, or, if the checkpoint itself is unusable, recomputes the
-    /// completed stages from scratch. Either path renders the same bytes.
     fn advance_to(&mut self, now: SimTime) {
         if now > self.clock {
             self.clock = now;
@@ -469,13 +425,12 @@ impl Gateway {
                     break;
                 }
                 job.pending.pop_front();
-                if job.driver.is_none() && job.checkpoint.is_none() {
-                    // Build step: never executed anything yet.
+                let Some(mut driver) = job.driver.take() else {
+                    // Build step: the first step of every job.
                     let world = world_for(&mut self.cache, &mut self.stats, key, &job.spec);
                     let cfg = StudyConfig::scaled(job.spec.scale);
                     let driver =
                         StudyDriver::new(world, cfg, &ExecOptions::with_workers(self.cfg.workers));
-                    job.checkpoint = seal(&driver, &job.spec);
                     job.driver = Some(driver);
                     let section = format!(
                         "# study {}\nstage build complete at {end}\n",
@@ -483,54 +438,27 @@ impl Gateway {
                     );
                     emit(job, &section);
                     continue;
-                }
-                if job.driver.is_none() {
-                    // The in-memory driver was lost mid-study: self-heal.
-                    job.driver = Some(revive(
-                        &mut self.cache,
-                        &mut self.stats,
-                        key,
-                        job,
-                        self.cfg.workers,
-                    ));
-                }
-                let (stage, done) = {
-                    let Some(driver) = job.driver.as_mut() else {
-                        break; // unreachable: revive always yields a driver
-                    };
-                    let stage = driver.step();
-                    (stage, driver.is_done())
                 };
-                job.stages_done += 1;
+                let stage = driver.step();
                 let section = format!("stage {} complete at {end}\n", stage.label());
                 emit(job, &section);
-                if done {
-                    let Some(driver) = job.driver.take() else {
-                        break; // unreachable: borrowed as Some just above
-                    };
-                    let (report, _world) = driver.into_parts();
-                    let cfg = StudyConfig::scaled(job.spec.scale);
-                    let tail = format!(
-                        "\n{}{}# end study {}\n",
-                        render_tables(&report),
-                        render_annex(&report, &cfg),
-                        key.study_id()
-                    );
-                    emit(job, &tail);
-                    job.wire.extend_from_slice(&job.enc.finish());
-                    self.stats.studies_executed += 1;
-                    self.cache.insert_report(key, job.body.clone());
-                    self.finished.insert(key, end);
-                } else {
-                    // Persist the boundary before any crash can happen, so
-                    // the checkpoint always reflects completed work.
-                    job.checkpoint = job.driver.as_ref().and_then(|d| seal(d, &job.spec));
-                    if self.crash_after == Some(stage) {
-                        self.crash_after = None;
-                        self.stats.crashes += 1;
-                        job.driver = None;
-                    }
+                if !driver.is_done() {
+                    job.driver = Some(driver);
+                    continue;
                 }
+                let (report, _world) = driver.into_parts();
+                let cfg = StudyConfig::scaled(job.spec.scale);
+                let tail = format!(
+                    "\n{}{}# end study {}\n",
+                    render_tables(&report),
+                    render_annex(&report, &cfg),
+                    key.study_id()
+                );
+                emit(job, &tail);
+                job.wire.extend_from_slice(&job.enc.finish());
+                self.stats.studies_executed += 1;
+                self.cache.insert_report(key, job.body.clone());
+                self.finished.insert(key, end);
             }
             let Some(job) = self.jobs.get(&key) else {
                 self.active.pop();
@@ -616,51 +544,6 @@ fn world_for(
             stats.worlds_built += 1;
             cache.insert_world(key, built.clone());
             built
-        }
-    }
-}
-
-/// Serialize a driver's stage-boundary checkpoint, or `None` if the study
-/// is not checkpointable (completed, or a world with pending events).
-fn seal(driver: &StudyDriver, spec: &WorldSpec) -> Option<String> {
-    match driver.checkpoint(spec) {
-        Ok(cp) => Some(cp.to_canonical_json()),
-        Err(_) => None,
-    }
-}
-
-/// Rebuild a crashed job's driver. Fast path: restore the last serialized
-/// checkpoint against the pristine world (tier-1 cache, else rebuilt).
-/// Slow path, if the checkpoint is missing or unusable: recompute — a
-/// fresh driver fast-forwarded through the completed stages. Both paths
-/// yield a driver whose remaining stages render byte-identical output
-/// (checkpoint/restore determinism is pinned by `tests/recovery.rs`).
-fn revive(
-    cache: &mut StudyCache,
-    stats: &mut GatewayStats,
-    key: StudyKey,
-    job: &Job,
-    workers: usize,
-) -> StudyDriver {
-    let opts = ExecOptions::with_workers(workers);
-    let world = world_for(cache, stats, key, &job.spec);
-    let restored = job
-        .checkpoint
-        .as_deref()
-        .and_then(|json| StudyCheckpoint::from_json_str(json).ok())
-        .and_then(|cp| StudyDriver::restore_with_world(&cp, world.clone(), &opts).ok());
-    match restored {
-        Some(driver) => {
-            stats.recoveries += 1;
-            driver
-        }
-        None => {
-            stats.recomputes += 1;
-            let mut driver = StudyDriver::new(world, StudyConfig::scaled(job.spec.scale), &opts);
-            for _ in 0..job.stages_done {
-                driver.step();
-            }
-            driver
         }
     }
 }
@@ -811,77 +694,6 @@ mod tests {
         assert!(done.body.len() > mid.body.len());
     }
 
-    /// Run one study to completion, optionally crashing after `crash`,
-    /// returning the final body and the stats snapshot.
-    fn run_one(crash: Option<StudyStage>) -> (Vec<u8>, GatewayStats) {
-        let mut gw = Gateway::new(GatewayConfig::default());
-        if let Some(stage) = crash {
-            gw.inject_crash_after(stage);
-        }
-        let accept = parse(&gw.handle(&post_spec(&worldgen::smoke_spec(5)), SimTime::EPOCH));
-        let id = accept.headers.get("X-Study-Id").expect("id").to_string();
-        let get = Request::origin_get("gateway", &format!("/studies/{id}")).encode();
-        let done = parse(&gw.handle(&get, SimTime::from_millis(10_000)));
-        assert_eq!(done.headers.get("X-Study-Complete"), Some("true"));
-        (done.body, gw.stats())
-    }
-
-    #[test]
-    fn crash_after_any_stage_recovers_byte_identical() {
-        let (clean, stats) = run_one(None);
-        assert_eq!((stats.crashes, stats.recoveries), (0, 0));
-        for stage in [
-            StudyStage::Dns,
-            StudyStage::Http,
-            StudyStage::Https,
-            StudyStage::Monitor,
-        ] {
-            let (body, stats) = run_one(Some(stage));
-            assert_eq!(stats.crashes, 1, "crash after {stage:?} armed");
-            assert_eq!(stats.recoveries, 1, "restored from checkpoint");
-            assert_eq!(stats.recomputes, 0, "fast path, not recompute");
-            assert_eq!(
-                body, clean,
-                "crash after {stage:?} changed the served bytes"
-            );
-        }
-    }
-
-    #[test]
-    fn revive_without_checkpoint_recomputes_the_same_study() {
-        // The slow self-healing path: no (usable) checkpoint, so revive
-        // fast-forwards a fresh driver through the completed stages.
-        let spec = worldgen::smoke_spec(5);
-        let key = StudyKey::for_spec(&spec);
-        let mut cache = StudyCache::new(2, 2);
-        let mut stats = GatewayStats::default();
-        let job = Job {
-            spec: spec.clone(),
-            pending: VecDeque::new(),
-            driver: None,
-            checkpoint: None,
-            stages_done: 2,
-            deadline: None,
-            wire: Vec::new(),
-            body: Vec::new(),
-            enc: chunked::Encoder::new(),
-        };
-        let mut revived = revive(&mut cache, &mut stats, key, &job, 1);
-        assert_eq!((stats.recoveries, stats.recomputes), (0, 1));
-        revived.run_to_completion();
-        let (report, _) = revived.into_parts();
-
-        let cfg = StudyConfig::scaled(spec.scale);
-        let mut reference = StudyDriver::new(
-            worldgen::build(&spec).world,
-            cfg,
-            &ExecOptions::with_workers(1),
-        );
-        reference.run_to_completion();
-        let (expected, _) = reference.into_parts();
-        assert_eq!(render_tables(&report), render_tables(&expected));
-    }
-
     #[test]
     fn corrupted_cached_report_is_never_served_and_reexecutes() {
         let mut gw = Gateway::new(GatewayConfig::default());
@@ -977,6 +789,15 @@ mod tests {
             recovery.get("integrity_failures").and_then(|v| v.as_u64()),
             Some(0)
         );
+        // The gateway's one recovery path is 404-and-resubmit after a failed
+        // digest check, so the section carries that one counter.
+        let keys: Vec<&str> = recovery
+            .as_obj()
+            .expect("recovery is an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["integrity_failures"]);
         // /healthz is not a study route: it must not count as a 404.
         assert_eq!(gw.stats().not_found, 0);
     }

@@ -1,8 +1,7 @@
 //! Crash-recovery determinism: a study killed at *any* stage boundary and
 //! restored from its serialized checkpoint must render the same report —
 //! tables and data-quality annex, byte for byte — as the uninterrupted run,
-//! at any worker count. Supervised retries (injected per-task faults) must
-//! be equally invisible in the output.
+//! at any worker count.
 
 use substrate::hash::stable64;
 use tft::prelude::*;
@@ -129,62 +128,4 @@ fn restored_world_side_effects_match_uninterrupted_run() {
         log_len,
         "server log diverged"
     );
-}
-
-#[test]
-fn supervised_faults_are_invisible_in_study_output() {
-    use substrate::pool::{FaultInjector, FaultPolicy};
-
-    let spec = smoke_spec(SEED);
-    let cfg = smoke_cfg();
-    let clean = {
-        let mut d = StudyDriver::new(
-            build(&spec).world,
-            cfg.clone(),
-            &ExecOptions::with_workers(1),
-        );
-        d.run_to_completion();
-        let (report, _) = d.into_parts();
-        rendered(&report, &cfg)
-    };
-
-    for workers in [1, 8] {
-        let mut d = StudyDriver::new(
-            build(&spec).world,
-            cfg.clone(),
-            &ExecOptions::with_workers(workers),
-        );
-        // Roughly a third of shard tasks panic on their first attempt(s);
-        // the supervisor's retry drain must reproduce them exactly.
-        d.set_fault_policy(
-            FaultPolicy::retries(3).with_injector(FaultInjector::seeded(0xC0FFEE, 333, 2)),
-        );
-        d.run_to_completion();
-        let (report, _) = d.into_parts();
-        assert_eq!(
-            rendered(&report, &cfg),
-            clean,
-            "injected faults leaked into the report at workers={workers}"
-        );
-    }
-}
-
-#[test]
-fn fault_injection_composes_with_checkpoint_restore() {
-    use substrate::pool::{FaultInjector, FaultPolicy};
-
-    let cfg = smoke_cfg();
-    let (reference, checkpoints) = reference_with_checkpoints(1);
-
-    // Resume the study killed before HTTPS, with faults injected into the
-    // remaining stages: recovery and supervision stack.
-    let (_, json) = &checkpoints[2];
-    let cp = StudyCheckpoint::from_json_str(json).expect("parses");
-    let mut resumed = StudyDriver::restore(&cp, &ExecOptions::with_workers(8)).expect("restores");
-    resumed.set_fault_policy(
-        FaultPolicy::retries(3).with_injector(FaultInjector::seeded(0xBAD5EED, 250, 2)),
-    );
-    resumed.run_to_completion();
-    let (report, _) = resumed.into_parts();
-    assert_eq!(rendered(&report, &cfg), reference);
 }

@@ -8,9 +8,12 @@
 //!   stay flat while repeat submissions are answered `200` from tier 2.
 //! - A saturated queue answers `429 + Retry-After`, and a client that
 //!   honors the hint gets admitted on retry.
+//! - A served study ends with **exactly the bytes the library renders**
+//!   for the same spec: the gateway adds framing, never results of its own.
 
 use httpwire::{Method, Request, Response, StatusCode, Target};
 use netsim::{SimDuration, SimTime};
+use tft_core::{render_annex, render_tables, ExecOptions, StudyConfig, StudyDriver};
 use tft_serve::gateway::Gateway;
 use tft_serve::loadgen::{self, LoadGenConfig};
 use tft_serve::GatewayConfig;
@@ -139,4 +142,42 @@ fn retry_after_hint_is_honest() {
     let retry = parse(&gw.handle(&second_raw, t0 + SimDuration::from_secs(secs)));
     assert_eq!(retry.status, StatusCode::ACCEPTED);
     assert_eq!(retry.headers.get("X-Cache"), Some("miss"));
+}
+
+/// The gateway serves what the library computes: a finished study's body
+/// ends with the tables and annex that a `StudyDriver` run directly on the
+/// spec's world renders, then the end marker — at gateway workers 1 and 2.
+#[test]
+fn served_body_ends_with_the_library_rendering() {
+    let spec = worldgen::smoke_spec(0x5E4E);
+    let cfg = StudyConfig::scaled(spec.scale);
+    let mut driver = StudyDriver::new(
+        worldgen::build(&spec).world,
+        cfg.clone(),
+        &ExecOptions::with_workers(1),
+    );
+    driver.run_to_completion();
+    let (report, _world) = driver.into_parts();
+    let rendered = render_tables(&report) + &render_annex(&report, &cfg);
+
+    let served = |workers: usize| {
+        let mut gw = Gateway::new(GatewayConfig {
+            workers,
+            ..GatewayConfig::default()
+        });
+        let accept = parse(&gw.handle(&post_spec(&spec), SimTime::EPOCH));
+        let id = accept.headers.get("X-Study-Id").expect("id").to_string();
+        let get = Request::origin_get("gateway", &format!("/studies/{id}")).encode();
+        let done_t = SimTime::EPOCH + Gateway::cold_study_cost() + SimDuration::from_millis(1);
+        let done = parse(&gw.handle(&get, done_t));
+        assert_eq!(done.headers.get("X-Study-Complete"), Some("true"));
+        (id, done.body)
+    };
+    let (id, body) = served(1);
+    let expected = format!("{rendered}# end study {id}\n");
+    assert!(
+        body.ends_with(expected.as_bytes()),
+        "served body does not end with the library's rendering"
+    );
+    assert_eq!(served(2).1, body, "workers=2 served different bytes");
 }
