@@ -175,9 +175,22 @@ impl AuthServer {
         &self.log
     }
 
-    /// Append log entries recorded elsewhere (shard evidence merging).
+    /// Append copies of log entries recorded elsewhere (checkpoint
+    /// restore).
     pub fn absorb_log(&mut self, entries: &[QueryLogEntry]) {
         self.log.extend_from_slice(entries);
+    }
+
+    /// Remove and return the log entries from index `from` on (a shard's
+    /// own evidence), in a buffer sized to them.
+    pub fn take_log_tail(&mut self, from: usize) -> Vec<QueryLogEntry> {
+        self.log.split_off(from)
+    }
+
+    /// Move `entries` onto the end of the log, leaving `entries` empty
+    /// (shard evidence merging).
+    pub fn append_log(&mut self, entries: &mut Vec<QueryLogEntry>) {
+        self.log.append(entries);
     }
 
     /// Queries for one name, in arrival order.

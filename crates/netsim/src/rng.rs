@@ -49,16 +49,31 @@ impl SimRng {
 
     /// Derive an independent child generator keyed by a numeric index, for
     /// per-entity streams (e.g. one per exit node).
+    ///
+    /// The index is mixed in as its decimal digits, rendered into a stack
+    /// buffer: the bytes `index.to_string()` would give, without the heap
+    /// string (this runs on every proxied request).
     pub fn fork_indexed(&self, label: &str, index: u64) -> SimRng {
-        SimRng::new(mix(mix(self.seed, label), &index.to_string()))
+        let mut digits = [0u8; 20]; // u64::MAX has 20 decimal digits
+        let mut start = digits.len();
+        let mut rest = index;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        SimRng::new(mix(mix(self.seed, label), &digits[start..]))
     }
 }
 
 /// FNV-1a-style mixing of a seed with a label; cheap, stable across runs and
 /// platforms, and good enough to decorrelate xoshiro streams.
-fn mix(seed: u64, label: &str) -> u64 {
+fn mix(seed: u64, label: impl AsRef<[u8]>) -> u64 {
     let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
-    for &b in label.as_bytes() {
+    for &b in label.as_ref() {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
@@ -157,5 +172,19 @@ mod tests {
         let parent = SimRng::new(0xBE7C);
         assert_eq!(parent.fork("dns").seed(), 14568902525121034501);
         assert_eq!(parent.fork_indexed("node", 3).seed(), 17769928698577356723);
+    }
+
+    /// `fork_indexed` renders the index on the stack; the bytes it hashes
+    /// must be exactly the decimal string, at every digit count.
+    #[test]
+    fn indexed_forks_hash_the_decimal_index() {
+        let parent = SimRng::new(0xBE7C);
+        for index in [0, 7, 9, 10, 99, 100, 1_234_567, u64::MAX - 1, u64::MAX] {
+            assert_eq!(
+                parent.fork_indexed("latency", index).seed(),
+                mix(mix(0xBE7C, "latency"), index.to_string()),
+                "index {index}"
+            );
+        }
     }
 }

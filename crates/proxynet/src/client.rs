@@ -5,6 +5,7 @@ use crate::node::ZId;
 use certs::Certificate;
 use httpwire::{Headers, StatusCode};
 use std::fmt;
+use std::sync::Arc;
 
 /// Why one exit-node attempt failed (recorded in the debug header so the
 /// client can tell a node-went-offline retry from a real answer — §2.3).
@@ -145,7 +146,9 @@ pub enum ChainDamage {
 #[derive(Debug, Clone)]
 pub struct TlsProbeResult {
     /// The certificate chain presented through the tunnel (leaf first).
-    pub chain: Vec<Certificate>,
+    /// Shares the origin site's chain unless the path replaced or damaged
+    /// it.
+    pub chain: Arc<[Certificate]>,
     /// Debug timeline (final zID identifies the exit node).
     pub debug: TimelineDebug,
     /// The exit node's public address as the service reports it.

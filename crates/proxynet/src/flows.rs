@@ -18,6 +18,7 @@ use middlebox::RefetchOffset;
 use netsim::rng::RngExt;
 use netsim::{FaultInjector, FaultTarget, FaultVerdict, SimRng, SimTime, TraceCategory};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Maximum exit-node attempts per request (Luminati retries up to five
 /// times, §2.3).
@@ -717,10 +718,10 @@ impl World {
                 self.advance_to(t_origin + l.client_to_super.sample(&mut rng));
                 return Err(ProxyError::ConnectionRefused);
             }
-            let original = site.chain.clone();
+            // A refcount on the site's immutable chain: an untouched
+            // handshake records it without copying a certificate.
+            let original = Arc::clone(&site.chain);
             let original_valid = site.chain_valid;
-            let original_len = original.len();
-            let original_fp = original.first().map(|c| c.fingerprint());
             self.trace.record_with(t_origin, TraceCategory::Tls, || {
                 format!("exit node {zid} handshakes with {site_host} ({target}:443)")
             });
@@ -728,19 +729,26 @@ impl World {
             // Copy-on-write: issuing a spoofed cert advances the
             // interceptor's key stream, so the touched node unshares.
             let node = self.node_cow(node_id);
-            let mut chain = node
+            let replaced = node
                 .software
                 .tls_interceptor
                 .as_mut()
-                .and_then(|i| i.intercept(sni, &original, original_valid, now))
-                .unwrap_or(original);
-            if chain.len() != original_len || chain.first().map(|c| c.fingerprint()) != original_fp
-            {
-                self.trace
-                    .record_with(t_origin, TraceCategory::Middlebox, || {
-                        format!("certificate replaced for {sni} on {zid}")
-                    });
-            }
+                .and_then(|i| i.intercept(sni, &original, original_valid, now));
+            let mut chain = match replaced {
+                Some(spoofed) => {
+                    if spoofed.len() != original.len()
+                        || spoofed.first().map(|c| c.fingerprint())
+                            != original.first().map(|c| c.fingerprint())
+                    {
+                        self.trace
+                            .record_with(t_origin, TraceCategory::Middlebox, || {
+                                format!("certificate replaced for {sni} on {zid}")
+                            });
+                    }
+                    Arc::from(spoofed)
+                }
+                None => original,
+            };
 
             // Campaign-scripted transport damage to the handshake bytes:
             // the chain still arrives but is untrustworthy evidence, and the
@@ -750,7 +758,7 @@ impl World {
                 FaultVerdict::CorruptAndDeliver { .. } => Some(ChainDamage::Garbled),
                 FaultVerdict::Truncate { .. } => {
                     let keep = rng.random_range(0..chain.len());
-                    chain.truncate(keep);
+                    chain = Arc::from(&chain[..keep]);
                     Some(ChainDamage::Truncated)
                 }
                 _ => None,

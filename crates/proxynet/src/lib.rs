@@ -52,4 +52,6 @@ pub use servers::{OriginSite, WebLogEntry, WebServer};
 pub use session::{SessionTable, SESSION_TTL};
 pub use smtp_flow::{MailSite, SmtpProbeResult};
 pub use username::{UsernameError, UsernameOptions};
-pub use world::{EvidenceMark, IspHttp, ResolverDef, World, DEFAULT_REQUEST_DEADLINE};
+pub use world::{
+    EvidenceMark, IspHttp, ResolverDef, ShardEvidence, World, DEFAULT_REQUEST_DEADLINE,
+};

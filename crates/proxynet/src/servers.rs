@@ -7,6 +7,7 @@ use httpwire::{Response, StatusCode};
 use netsim::SimTime;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// One logged HTTP request at the measurement web server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,9 +129,10 @@ impl WebServer {
         &self.log
     }
 
-    /// The log sorted by arrival time (stable).
-    pub fn log_sorted(&self) -> Vec<WebLogEntry> {
-        let mut v = self.log.clone();
+    /// The log sorted by arrival time (stable), borrowed: callers clone
+    /// only the entries they keep.
+    pub fn log_sorted(&self) -> Vec<&WebLogEntry> {
+        let mut v: Vec<&WebLogEntry> = self.log.iter().collect();
         v.sort_by_key(|e| e.at);
         v
     }
@@ -144,10 +146,23 @@ impl WebServer {
         self.log.iter().filter(move |e| e.host == host)
     }
 
-    /// Append log entries recorded elsewhere (shard evidence merging —
-    /// see `World::absorb_evidence`).
+    /// Append copies of log entries recorded elsewhere (checkpoint
+    /// restore — see `World::restore_evidence`).
     pub fn absorb_log(&mut self, entries: &[WebLogEntry]) {
         self.log.extend_from_slice(entries);
+    }
+
+    /// Remove and return the log entries from index `from` on (a shard's
+    /// own evidence — see `World::into_evidence`), in a buffer sized to
+    /// them: the evidence carries no spare capacity across the wave.
+    pub fn take_log_tail(&mut self, from: usize) -> Vec<WebLogEntry> {
+        self.log.split_off(from)
+    }
+
+    /// Move `entries` onto the end of the log, leaving `entries` empty
+    /// (shard evidence merging — see `World::absorb_evidence`).
+    pub fn append_log(&mut self, entries: &mut Vec<WebLogEntry>) {
+        self.log.append(entries);
     }
 
     /// Clear the log.
@@ -167,8 +182,9 @@ pub struct OriginSite {
     /// HTTP body served on `/`.
     pub http_body: Vec<u8>,
     /// Certificate chain presented on :443 (leaf first); empty if the site
-    /// has no HTTPS.
-    pub chain: Vec<Certificate>,
+    /// has no HTTPS. Immutable and shared: a probe that nobody intercepts
+    /// records a refcount on this chain, not a copy.
+    pub chain: Arc<[Certificate]>,
     /// Whether the chain validates against the public root store at world
     /// build time (precomputed ground truth used by interceptor logic; the
     /// measurement client recomputes its own verdicts).

@@ -72,12 +72,28 @@ pub struct EvidenceMark {
     bytes_billed: HashMap<String, u64>,
 }
 
+/// The measurement evidence a shard world holds beyond an
+/// [`EvidenceMark`], moved out of it by [`World::into_evidence`] and into
+/// the live world by [`World::absorb_evidence`]: the log entries the shard
+/// added, its billing ledger, and its clock.
+#[derive(Debug)]
+pub struct ShardEvidence {
+    web_log: Vec<crate::WebLogEntry>,
+    auth_log: Vec<dnswire::QueryLogEntry>,
+    bytes_billed: HashMap<String, u64>,
+    now: SimTime,
+}
+
 /// The simulated Internet plus the measurement infrastructure.
 ///
 /// `Clone` snapshots the world — clock, pending events, RNG state, every
 /// server log. The parallel study executor clones one world per shard so
-/// disjoint node populations can be probed concurrently, then merges the
-/// measurement evidence back with [`World::absorb_evidence`].
+/// disjoint node populations can be probed concurrently. Each shard task
+/// then turns its world into the evidence it produced
+/// ([`World::into_evidence`]), dropping the rest of the world where it
+/// ran, and the executor moves that evidence into the live world with
+/// [`World::absorb_evidence`] — log entries are allocated once, in the
+/// shard, and never cloned on the way back.
 ///
 /// ## Shared-immutable sections (the overlay contract)
 ///
@@ -574,7 +590,7 @@ impl World {
     /// the invalid sites it operates itself — it knows those certificates
     /// because it created them (§6.1's exact-match check).
     pub fn expected_chain(&self, host: &str) -> Option<&[certs::Certificate]> {
-        self.origin_sites.get(host).map(|s| s.chain.as_slice())
+        self.origin_sites.get(host).map(|s| &*s.chain)
     }
 
     /// Total bytes billed to a customer (per-GB pricing, §2.3).
@@ -661,13 +677,18 @@ impl World {
         );
         // tft-lint: allow(hot-path-alloc, reason = "unshare IS the deep copy - it exists so tests can force the historical whole-clone executor; no production wave calls it")
         self.nodes = Arc::new(self.nodes.iter().map(|n| Arc::new((**n).clone())).collect());
+        // Site chains are `Arc`s of their own, which cloning the site map
+        // only refcounts.
+        for site in Arc::make_mut(&mut self.origin_sites).values_mut() {
+            site.chain = Arc::from(&site.chain[..]);
+        }
     }
 
     // -- shard evidence merging (parallel study executor) --------------------
 
     /// A marker taken *before* cloning this world into shards, recording how
-    /// much measurement evidence already exists. [`World::absorb_evidence`]
-    /// uses it to copy back only what a shard added.
+    /// much measurement evidence already exists. [`World::into_evidence`]
+    /// uses it to take only what a shard added.
     pub fn evidence_mark(&self) -> EvidenceMark {
         EvidenceMark {
             web_log_len: self.web_server.log().len(),
@@ -676,31 +697,43 @@ impl World {
         }
     }
 
+    /// Consume a shard world, keeping only the measurement evidence it
+    /// holds beyond `mark` (the mark it was forked under): the web-server
+    /// and authoritative-DNS log entries past the mark, the billing ledger,
+    /// and the clock. Everything else — sessions, caches, the overlay — is
+    /// dropped here, on the thread that ran the shard.
+    pub fn into_evidence(mut self, mark: &EvidenceMark) -> ShardEvidence {
+        ShardEvidence {
+            web_log: self.web_server.take_log_tail(mark.web_log_len),
+            auth_log: self.auth_server.take_log_tail(mark.auth_log_len),
+            bytes_billed: std::mem::take(&mut self.bytes_billed),
+            now: self.now(),
+        }
+    }
+
     /// Merge the measurement evidence a shard produced back into this world:
-    /// web-server and authoritative-DNS log entries beyond the mark are
-    /// appended (callers absorb shards in shard order, so the merged logs are
-    /// deterministic), per-customer billing deltas are added, and the clock
-    /// advances to the shard's finish time if it is ahead (firing any events
-    /// due in between).
+    /// its log entries are moved onto the end of the web-server and
+    /// authoritative-DNS logs (callers absorb shards in shard order, so the
+    /// merged logs are deterministic), per-customer billing deltas against
+    /// `mark` are added, and the clock advances to the shard's finish time
+    /// if it is ahead (firing any events due in between).
     ///
     /// Only *evidence* merges; shard-local control state (sessions, resolver
     /// caches, zone provisioning) stays in the shard, exactly as a real
     /// measurement backend only ever sees its servers' logs and the bill.
-    pub fn absorb_evidence(&mut self, shard: &World, mark: &EvidenceMark) {
-        self.web_server
-            .absorb_log(&shard.web_server.log()[mark.web_log_len..]);
-        self.auth_server
-            .absorb_log(&shard.auth_server.log()[mark.auth_log_len..]);
-        for (customer, &billed) in &shard.bytes_billed {
-            let base = mark.bytes_billed.get(customer).copied().unwrap_or(0);
+    pub fn absorb_evidence(&mut self, mut shard: ShardEvidence, mark: &EvidenceMark) {
+        self.web_server.append_log(&mut shard.web_log);
+        self.auth_server.append_log(&mut shard.auth_log);
+        for (customer, billed) in shard.bytes_billed {
+            let base = mark.bytes_billed.get(&customer).copied().unwrap_or(0);
             let delta = billed
                 .checked_sub(base)
                 .expect("shard billing went backwards");
             if delta > 0 {
-                *self.bytes_billed.entry(customer.clone()).or_insert(0) += delta;
+                *self.bytes_billed.entry(customer).or_insert(0) += delta;
             }
         }
-        if let Some(ahead) = shard.now().checked_since(self.now()) {
+        if let Some(ahead) = shard.now.checked_since(self.now()) {
             if !ahead.is_zero() {
                 self.advance(ahead);
             }
@@ -767,8 +800,8 @@ impl World {
     /// deltas. The caller is responsible for having advanced the clock to
     /// the checkpoint time first and for feeding entries in canonical
     /// (experiment-major) order — this is the same append discipline as
-    /// [`World::absorb_evidence`], sourced from a checkpoint instead of a
-    /// live shard.
+    /// [`World::absorb_evidence`], sourced from a borrowed checkpoint
+    /// instead of a finished shard, so it copies the entries.
     pub fn restore_evidence(
         &mut self,
         web: &[crate::WebLogEntry],

@@ -358,7 +358,7 @@ fn tls_interception_replaces_chain_only_on_infected_nodes() {
         host: "top1.us.example".into(),
         ip: site_ip,
         http_body: b"<html>top</html>".to_vec(),
-        chain: chain.clone(),
+        chain: chain.clone().into(),
         chain_valid: true,
     });
     let _ = roots2;
@@ -373,6 +373,13 @@ fn tls_interception_replaces_chain_only_on_infected_nodes() {
         clean.chain[0].fingerprint(),
         chain[0].fingerprint(),
         "clean node passes the original chain"
+    );
+    assert!(
+        std::ptr::eq(
+            &*clean.chain,
+            m.world.expected_chain("top1.us.example").unwrap()
+        ),
+        "an untouched handshake shares the site's chain instead of copying it"
     );
 
     // Infect every US node with a Kaspersky-style interceptor.
@@ -401,6 +408,82 @@ fn tls_interception_replaces_chain_only_on_infected_nodes() {
         "Kaspersky Anti-Virus Personal Root"
     );
     assert_eq!(seen.chain[0].subject.common_name, "top1.us.example");
+    let site_chain = m.world.expected_chain("top1.us.example").unwrap();
+    assert!(
+        !std::ptr::eq(&*seen.chain, site_chain),
+        "an interceptor's replacement is a chain of its own"
+    );
+    assert_eq!(
+        site_chain,
+        chain.as_slice(),
+        "interception leaves the site's chain unchanged"
+    );
+}
+
+#[test]
+fn moved_shard_evidence_matches_cloned_tails_past_a_nonzero_mark() {
+    // The live world already holds evidence, so the mark is not zero.
+    let mut live = mini_world().world;
+    let (d1, _) = provision_probe_pair(&mut live, "live");
+    let opts = UsernameOptions::new("lab").country(cc("US")).session(1);
+    live.proxy_get(&opts, &Uri::http(&d1, "/")).unwrap();
+    assert!(!live.web_server().log().is_empty());
+    assert!(!live.auth_server().log().is_empty());
+    assert!(live.bytes_billed("lab") > 0);
+    assert!(live.is_idle(), "advancing the live clock must fire nothing");
+
+    let mark = live.evidence_mark();
+    let mut forks = Vec::new();
+    for (k, country) in ["US", "MY"].into_iter().enumerate() {
+        let mut fork = live.clone();
+        let (d1, _) = provision_probe_pair(&mut fork, &format!("fork{k}"));
+        for session in 0..=k as u64 {
+            let opts = UsernameOptions::new("lab")
+                .country(cc(country))
+                .session(10 + session);
+            fork.proxy_get(&opts, &Uri::http(&d1, "/")).unwrap();
+        }
+        if k == 1 {
+            // A customer only this fork bills: absorbing it adds a ledger key.
+            let opts = UsernameOptions::new("other").country(cc(country));
+            fork.proxy_get(&opts, &Uri::http(&d1, "/")).unwrap();
+        } else {
+            // The first fork finishes last, so absorbing the second must not
+            // move the clock back.
+            fork.advance(SimDuration::from_secs(90));
+        }
+        assert!(!fork.web_log_since(&mark).is_empty());
+        assert!(!fork.auth_log_since(&mark).is_empty());
+        forks.push(fork);
+    }
+
+    // The expected state, built by cloning each fork's tail past the mark.
+    let mut web = live.web_server().log().to_vec();
+    let mut auth = live.auth_server().log().to_vec();
+    for fork in &forks {
+        web.extend_from_slice(fork.web_log_since(&mark));
+        auth.extend_from_slice(fork.auth_log_since(&mark));
+    }
+    let billed = |customer: &str| {
+        let base = live.bytes_billed(customer);
+        base + forks
+            .iter()
+            .map(|f| f.bytes_billed(customer) - base)
+            .sum::<u64>()
+    };
+    let (lab, other) = (billed("lab"), billed("other"));
+    assert!(other > 0);
+    let latest = forks.iter().map(World::now).max().unwrap();
+    assert_eq!(latest, forks[0].now());
+
+    for fork in forks {
+        live.absorb_evidence(fork.into_evidence(&mark), &mark);
+    }
+    assert_eq!(live.web_server().log(), web.as_slice());
+    assert_eq!(live.auth_server().log(), auth.as_slice());
+    assert_eq!(live.bytes_billed("lab"), lab);
+    assert_eq!(live.bytes_billed("other"), other);
+    assert_eq!(live.now(), latest);
 }
 
 #[test]

@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum nesting depth the parser accepts.
 const MAX_DEPTH: usize = 128;
@@ -769,9 +770,15 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-impl<T: ToJson> ToJson for Vec<T> {
+impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        self.as_slice().to_json()
     }
 }
 impl<T: FromJson> FromJson for Vec<T> {
@@ -781,6 +788,18 @@ impl<T: FromJson> FromJson for Vec<T> {
             .iter()
             .map(T::from_json)
             .collect()
+    }
+}
+
+/// A shared slice is encoded exactly like a `Vec` of the same items.
+impl<T: ToJson> ToJson for Arc<[T]> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+impl<T: FromJson> FromJson for Arc<[T]> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Vec::<T>::from_json(v).map(Arc::from)
     }
 }
 
@@ -1091,6 +1110,19 @@ mod tests {
         let missing_name = r#"{"id":1,"ratio":1.0,"alias":null,"flags":[],"weight":null}"#;
         let err = from_str::<Demo>(missing_name).unwrap_err().to_string();
         assert!(err.contains("name"), "error was: {err}");
+    }
+
+    #[test]
+    fn shared_slices_encode_like_vecs() {
+        let items: Vec<(String, u64)> = vec![("a".into(), 1), ("b".into(), u64::MAX)];
+        let shared: Arc<[(String, u64)]> = Arc::from(items.clone());
+        let text = to_string_pretty(&shared);
+        assert_eq!(text, to_string_pretty(&items), "same bytes as the Vec");
+        let back = from_str::<Arc<[(String, u64)]>>(&text).unwrap();
+        assert_eq!(&*back, items.as_slice());
+        let empty: Arc<[bool]> = Arc::from(Vec::new());
+        assert_eq!(empty.to_json().render(), "[]");
+        assert!(from_str::<Arc<[bool]>>("{}").is_err());
     }
 
     #[test]

@@ -227,7 +227,7 @@ mod tests {
                 probes: vec![CertProbe {
                     host: world.site_symbols.lookup("demo-site.example").unwrap(),
                     class: SiteClass::Popular,
-                    chain,
+                    chain: chain.into(),
                 }],
                 escalated: false,
             }],
@@ -263,12 +263,12 @@ mod tests {
                     CertProbe {
                         host: world.site_symbols.lookup("demo-site.example").unwrap(),
                         class: SiteClass::Popular,
-                        chain: vec![spoof_a, av.cert.clone()],
+                        chain: vec![spoof_a, av.cert.clone()].into(),
                     },
                     CertProbe {
                         host: world.site_symbols.lookup("demo-site.example").unwrap(),
                         class: SiteClass::International,
-                        chain: vec![spoof_b, av.cert.clone()],
+                        chain: vec![spoof_b, av.cert.clone()].into(),
                     },
                 ],
                 escalated: true,
@@ -302,7 +302,7 @@ mod tests {
                 probes: vec![CertProbe {
                     host: world.site_symbols.lookup("demo-site.example").unwrap(),
                     class: SiteClass::Popular,
-                    chain: vec![spoof, anon.cert.clone()],
+                    chain: vec![spoof, anon.cert.clone()].into(),
                 }],
                 escalated: true,
             }],

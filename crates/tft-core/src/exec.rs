@@ -26,7 +26,8 @@
 //! - Shard results are merged in canonical experiment-major / shard-minor
 //!   order (shard evidence in task order, observations re-sorted by zID /
 //!   probe key), so `render_tables` and every golden are bit-identical at
-//!   any worker count.
+//!   any worker count. A task returns its evidence, not its fork, so the
+//!   merge moves log entries instead of cloning them.
 //! - A shard task is a pure function of its experiment, shard index, and
 //!   country plan over the shared snapshot, so a retry could only repeat a
 //!   failure. A task panic is a bug: [`substrate::pool::Pool::run`]
@@ -219,6 +220,12 @@ enum ShardData {
 /// study-start snapshot `base`, and the results are absorbed into `live`
 /// in canonical experiment-major / shard-minor order against `mark`.
 ///
+/// A task hands back its dataset and the evidence its fork produced
+/// ([`World::into_evidence`]), not the fork itself: the shard world is
+/// dropped on the worker that ran it, so a wave holds at most `workers`
+/// shard worlds at once, and the merge moves log entries into `live`
+/// without cloning them.
+///
 /// Compared to the old one-queue-per-experiment design this removes three
 /// full pool barriers from a four-experiment study: a worker that finishes
 /// its last DNS shard immediately picks up an HTTP shard instead of idling
@@ -278,15 +285,15 @@ pub(crate) fn run_wave(
                 ShardData::Monitor(monitor_exp::run_shard(&mut shard_world, cfg, scope))
             }
         };
-        (data, shard_world)
+        (data, shard_world.into_evidence(mark))
     });
 
     // Absorb in task order (experiment-major, shard-minor) — the same
     // canonical order regardless of worker count, and the same order a
     // stage-at-a-time driver produces across separate waves.
     let mut datas = Vec::with_capacity(finished.len());
-    for (data, shard_world) in finished {
-        live.absorb_evidence(&shard_world, mark);
+    for (data, evidence) in finished {
+        live.absorb_evidence(evidence, mark);
         datas.push(data);
     }
 

@@ -110,10 +110,10 @@ fn run_scoped(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> Monito
     // Hold the observation window open (the paper watched for 24 hours).
     world.advance(SimDuration::from_hours(cfg.monitor_window_hours));
 
-    // Assemble observations from the web log.
-    let log = world.web_server().log_sorted();
+    // Assemble observations from the web log, borrowed: only the entries
+    // an observation keeps are cloned.
     let mut by_host: HashMap<&str, Vec<&proxynet::WebLogEntry>> = HashMap::new();
-    for e in &log {
+    for e in world.web_server().log_sorted() {
         by_host.entry(e.host.as_str()).or_default().push(e);
     }
     for (zid, (host, exit_ip)) in probed {

@@ -11,6 +11,7 @@ use certs::Certificate;
 use inetdb::CountryCode;
 use proxynet::{WebLogEntry, ZId};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use substrate::intern::Symbol;
 
 /// Outcome of one node's d₂ probe.
@@ -184,8 +185,9 @@ pub struct CertProbe {
     pub host: Symbol,
     /// Site class.
     pub class: SiteClass,
-    /// The chain presented through the tunnel, leaf first.
-    pub chain: Vec<Certificate>,
+    /// The chain presented through the tunnel, leaf first. Shared with
+    /// the origin site when the path left it untouched.
+    pub chain: Arc<[Certificate]>,
 }
 
 /// One node's HTTPS measurement.

@@ -87,7 +87,7 @@ pub fn demo_world() -> World {
         host: "demo-site.example".into(),
         ip: site_ip,
         http_body: b"<html>demo</html>".to_vec(),
-        chain: vec![leaf, cas[0].cert.clone()],
+        chain: vec![leaf, cas[0].cert.clone()].into(),
         chain_valid: true,
     });
 

@@ -512,6 +512,13 @@ impl<'a> Parser<'a> {
                     w = self.parse_closure(w, to, node);
                     continue;
                 }
+                // A binary `|` directly followed by another is a logical
+                // `||`: step over both, or the second would open a closure
+                // whose "parameter list" swallows the calls after it.
+                if self.text(w + 1) == "|" {
+                    w += 2;
+                    continue;
+                }
             }
             w += 1;
         }
@@ -707,6 +714,18 @@ mod tests {
     fn bitwise_or_is_not_a_closure() {
         let a = ast("fn f(a: u8, b: u8) -> u8 { a | b }");
         assert!(a.fns[0].closures.is_empty());
+    }
+
+    #[test]
+    fn logical_or_after_a_call_is_not_a_closure() {
+        // Read as a closure opener, the second `|` of `||` would take
+        // everything up to the `|x|` below as its parameter list.
+        let a = ast("fn f() { if a.ok() || b > c { skipped(); } run(|x| x.go()); }");
+        let f = &a.fns[0];
+        let names: Vec<&str> = f.calls.iter().map(|c| c.path[0].as_str()).collect();
+        assert_eq!(names, vec!["ok", "skipped", "run", "go"]);
+        assert_eq!(f.closures.len(), 1);
+        assert_eq!(f.closures[0].params, vec!["x"]);
     }
 
     #[test]

@@ -747,7 +747,7 @@ impl<'a> Builder<'a> {
                     h = sp.host
                 )
                 .into_bytes(),
-                chain,
+                chain: chain.into(),
                 chain_valid: valid,
             });
         }
