@@ -192,6 +192,7 @@ impl StudyDriver {
         if !self.world.is_idle() {
             return Err(CheckpointError::PendingEvents);
         }
+        let mark = self.base.evidence_mark();
         Ok(StudyCheckpoint {
             version: CHECKPOINT_VERSION,
             spec: spec.clone(),
@@ -201,9 +202,9 @@ impl StudyDriver {
             next: self.next,
             rng_fingerprint: self.world.rng_fingerprint(),
             session_watermark: self.world.session_watermark(),
-            web_log: self.world.web_log_since(&self.mark).to_vec(),
-            auth_log: self.world.auth_log_since(&self.mark).to_vec(),
-            billing: self.world.billing_delta(&self.mark),
+            web_log: self.world.web_log_since(&mark).to_vec(),
+            auth_log: self.world.auth_log_since(&mark).to_vec(),
+            billing: self.world.billing_delta(&mark),
             dns_data: self.dns_data.clone(),
             http_data: self.http_data.clone(),
             https_data: self.https_data.clone(),
@@ -250,7 +251,6 @@ impl StudyDriver {
             });
         }
         let base = pristine;
-        let mark = base.evidence_mark();
         let mut world = base.clone();
         // Advance the clock to the checkpointed boundary. The scheduler is
         // idle (checked above), so this moves time and fires nothing —
@@ -283,7 +283,6 @@ impl StudyDriver {
         Ok(StudyDriver {
             world,
             base,
-            mark,
             cfg: cp.cfg.clone(),
             workers: exec_opts.workers,
             started: cp.started,

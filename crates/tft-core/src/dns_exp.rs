@@ -14,7 +14,7 @@
 use crate::config::StudyConfig;
 use crate::crawl::Sampler;
 use crate::ethics::ByteBudget;
-use crate::exec::ProbeScope;
+use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{DnsDataset, DnsObservation, DnsOutcome};
 use crate::quality::{DataQuality, ProbeOutcome};
 use dnswire::{server::inetdb_net::Net, AnswerOverride};
@@ -74,24 +74,24 @@ pub struct DnsExpOptions {
     pub naive_google_predicate: bool,
 }
 
-/// Run the experiment until saturation or budget exhaustion.
+/// Run the experiment until saturation or budget exhaustion, as a
+/// one-experiment study wave forked from `world` (see [`crate::exec`]),
+/// so it returns the dataset a study on `world` produces.
 pub fn run(world: &mut World, cfg: &StudyConfig) -> DnsDataset {
     run_with(world, cfg, DnsExpOptions::default())
 }
 
 /// Run with explicit methodology options (ablations).
 pub fn run_with(world: &mut World, cfg: &StudyConfig, exp_opts: DnsExpOptions) -> DnsDataset {
-    let scope = ProbeScope::full(world);
-    run_scoped(world, cfg, exp_opts, scope)
+    match exec::run_alone(world, cfg, Experiment::Dns(exp_opts)) {
+        ExpData::Dns(data) => data,
+        _ => unreachable!("a DNS wave returns a DNS dataset"),
+    }
 }
 
-/// Run one population shard (parallel executor entry point).
-pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> DnsDataset {
-    run_scoped(world, cfg, DnsExpOptions::default(), scope)
-}
-
+/// Run one population shard (the executor's task body).
 // tft-lint: hot-root — per-probe DNS experiment loop
-fn run_scoped(
+pub(crate) fn run_shard(
     world: &mut World,
     cfg: &StudyConfig,
     exp_opts: DnsExpOptions,

@@ -23,6 +23,10 @@
 //!   that drains the last DNS shard immediately starts an HTTP shard. The
 //!   paper's experiments ran in overlapping windows (§3), so the overlap
 //!   is faithful, not a shortcut.
+//! - A wave is the only way an experiment runs. A standalone
+//!   `dns_exp::run` (and its HTTP, HTTPS and monitoring peers) is a
+//!   one-experiment wave forked from the caller's world, so it returns
+//!   exactly the dataset the study's wave produces from that world.
 //! - Shard results are merged in canonical experiment-major / shard-minor
 //!   order (shard evidence in task order, observations re-sorted by zID /
 //!   probe key), so `render_tables` and every golden are bit-identical at
@@ -39,6 +43,7 @@
 //! deterministic and keeps shard workloads balanced.
 
 use crate::config::StudyConfig;
+use crate::dns_exp::DnsExpOptions;
 use crate::obs::{DnsDataset, HttpDataset, HttpsDataset, MonitorDataset};
 use crate::{dns_exp, http_exp, https_exp, monitor_exp};
 use inetdb::CountryCode;
@@ -78,10 +83,9 @@ impl Default for ExecOptions {
     /// Default to the machine's available parallelism, uncapped. A full
     /// study wave queues `experiments × SHARD_COUNT` tasks (32 for the
     /// four-experiment study), and [`substrate::pool::Pool::run`] already
-    /// clamps workers to the task count per call, so there is no benefit to
-    /// capping here — the old `min(SHARD_COUNT)` cap silently threw away
-    /// cores once waves grew past one experiment. Safe to machine-derive
-    /// precisely because output is worker-count-invariant.
+    /// clamps workers to the task count per call, so a cap here could only
+    /// leave cores idle. Safe to machine-derive precisely because output is
+    /// worker-count-invariant.
     fn default() -> Self {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -90,54 +94,38 @@ impl Default for ExecOptions {
     }
 }
 
-/// The sampling scope an experiment runs under: which slice of the
-/// population it crawls, how its probe artifacts are namespaced, and where
-/// its randomness comes from.
+/// The sampling scope one shard runs under: which slice of the population
+/// it crawls, how its probe artifacts are namespaced, and where its
+/// randomness comes from.
 #[derive(Debug, Clone)]
 pub(crate) struct ProbeScope {
-    /// Reported per-country exit counts visible to this scope's sampler.
+    /// Reported per-country exit counts visible to this shard's sampler.
     pub counts: Vec<(CountryCode, usize)>,
-    /// Prefix for per-probe DNS labels (empty for the unsharded path, so
-    /// direct `run()` callers keep their exact historical probe names).
+    /// Prefix for per-probe DNS labels (`s{k}-`), so no two shards of a
+    /// wave provision the same probe name.
     pub tag: String,
     /// First session number the sampler hands out.
     pub session_base: u64,
-    /// Shard index, when sharded.
-    shard: Option<u64>,
+    /// Shard index.
+    shard: u64,
 }
 
 impl ProbeScope {
-    /// The whole-population scope — reproduces the unsharded experiments
-    /// byte-for-byte.
-    pub fn full(world: &World) -> Self {
-        ProbeScope {
-            counts: world.reported_country_counts(),
-            tag: String::new(),
-            session_base: 1,
-            shard: None,
-        }
-    }
-
     /// The scope for shard `index` covering `counts`.
     pub fn shard(index: usize, counts: Vec<(CountryCode, usize)>) -> Self {
         ProbeScope {
             counts,
             tag: format!("s{index}-"),
             session_base: 1 + index as u64 * SESSION_STRIDE,
-            shard: Some(index as u64),
+            shard: index as u64,
         }
     }
 
-    /// Derive an RNG for this scope from virtual time and an experiment
-    /// salt. Unsharded scopes get the experiment's historical stream;
-    /// shards get an independent label-fork of it. Thread identity never
-    /// enters the derivation.
+    /// Derive an RNG for this shard from virtual time and an experiment
+    /// salt: the shard's label-fork of the experiment's stream. Thread
+    /// identity never enters the derivation.
     pub fn rng(&self, t0_millis: u64, salt: u64) -> SimRng {
-        let rng = SimRng::new(t0_millis ^ salt);
-        match self.shard {
-            Some(k) => rng.fork_indexed("shard", k),
-            None => rng,
-        }
+        SimRng::new(t0_millis ^ salt).fork_indexed("shard", self.shard)
     }
 }
 
@@ -182,10 +170,10 @@ pub(crate) fn plan_shards(
 }
 
 /// One experiment of the study, as a wave-schedulable unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Experiment {
-    /// The d₁/d₂ NXDOMAIN experiment.
-    Dns,
+    /// The d₁/d₂ NXDOMAIN experiment, under its methodology options.
+    Dns(DnsExpOptions),
     /// The four-object content-comparison experiment.
     Http,
     /// The two-phase CONNECT certificate experiment.
@@ -194,31 +182,37 @@ pub(crate) enum Experiment {
     Monitor,
 }
 
-/// One experiment's merged dataset, so a heterogeneous wave can return
-/// through a single channel.
+/// One experiment's dataset — a shard's, or the merge of all of them — so
+/// a heterogeneous wave can return through a single channel.
 pub(crate) enum ExpData {
-    /// Merged DNS dataset.
+    /// DNS dataset.
     Dns(DnsDataset),
-    /// Merged HTTP dataset.
+    /// HTTP dataset.
     Http(HttpDataset),
-    /// Merged HTTPS dataset.
+    /// HTTPS dataset.
     Https(HttpsDataset),
-    /// Merged monitoring dataset.
+    /// Monitoring dataset.
     Monitor(MonitorDataset),
 }
 
-/// Per-shard output of one wave task.
-enum ShardData {
-    Dns(DnsDataset),
-    Http(HttpDataset),
-    Https(HttpsDataset),
-    Monitor(MonitorDataset),
+/// Run `exp` on its own, the way the study runs it: a one-experiment wave
+/// forked from `world` at the machine's default worker count, absorbed
+/// back into `world`. The public `*_exp::run` entry points are this call,
+/// so a standalone run returns the study's dataset for the same world.
+pub(crate) fn run_alone(world: &mut World, cfg: &StudyConfig, exp: Experiment) -> ExpData {
+    let base = world.clone();
+    let mark = world.evidence_mark();
+    let workers = ExecOptions::default().workers;
+    run_wave(world, &base, &mark, cfg, workers, &[exp], false)
+        .pop()
+        .expect("run_wave returns one dataset per requested experiment")
 }
 
-/// Run `experiments` as **one wave**: every (experiment × shard) pair
-/// becomes a task in a single work queue, all forked from the same
-/// study-start snapshot `base`, and the results are absorbed into `live`
-/// in canonical experiment-major / shard-minor order against `mark`.
+/// Run `experiments` (each named at most once) as **one wave**: every
+/// (experiment × shard) pair becomes a task in a single work queue, all
+/// forked from the same study-start snapshot `base`, and the results are
+/// absorbed into `live` in canonical experiment-major / shard-minor order
+/// against `mark`. Returns one merged dataset per experiment, in order.
 ///
 /// A task hands back its dataset and the evidence its fork produced
 /// ([`World::into_evidence`]), not the fork itself: the shard world is
@@ -226,12 +220,11 @@ enum ShardData {
 /// shard worlds at once, and the merge moves log entries into `live`
 /// without cloning them.
 ///
-/// Compared to the old one-queue-per-experiment design this removes three
-/// full pool barriers from a four-experiment study: a worker that finishes
-/// its last DNS shard immediately picks up an HTTP shard instead of idling
-/// until the slowest DNS shard lands. It is also what the paper actually
-/// did — the experiments ran in *overlapping* windows (§3), not serial
-/// phases.
+/// One queue means no pool barrier between experiments: a worker that
+/// finishes its last DNS shard immediately picks up an HTTP shard instead
+/// of idling until the slowest DNS shard lands. It is also what the paper
+/// actually did — the experiments ran in *overlapping* windows (§3), not
+/// serial phases.
 ///
 /// Determinism: every task forks `base` (cheap — the world's bulk data is
 /// behind shared `Arc`s and copies on first write, see
@@ -245,8 +238,8 @@ enum ShardData {
 /// the study; see the module docs for why nothing retries it.
 ///
 /// `deep_fork` is a test seam: when set, every shard world is deeply
-/// unshared after forking ([`World::unshare`]), which reproduces the old
-/// whole-clone execution exactly and pins the copy-on-write overlay to it.
+/// unshared after forking ([`World::unshare`]), the whole-clone reference
+/// the copy-on-write overlay is pinned against.
 // tft-lint: hot-root — shard bodies: every per-probe loop runs inside this
 pub(crate) fn run_wave(
     live: &mut World,
@@ -275,68 +268,37 @@ pub(crate) fn run_wave(
             shard_world.unshare();
         }
         let scope = ProbeScope::shard(k, plan);
+        let world = &mut shard_world;
         let data = match exp {
-            Experiment::Dns => ShardData::Dns(dns_exp::run_shard(&mut shard_world, cfg, scope)),
-            Experiment::Http => ShardData::Http(http_exp::run_shard(&mut shard_world, cfg, scope)),
-            Experiment::Https => {
-                ShardData::Https(https_exp::run_shard(&mut shard_world, cfg, scope))
-            }
-            Experiment::Monitor => {
-                ShardData::Monitor(monitor_exp::run_shard(&mut shard_world, cfg, scope))
-            }
+            Experiment::Dns(opts) => ExpData::Dns(dns_exp::run_shard(world, cfg, opts, scope)),
+            Experiment::Http => ExpData::Http(http_exp::run_shard(world, cfg, scope)),
+            Experiment::Https => ExpData::Https(https_exp::run_shard(world, cfg, scope)),
+            Experiment::Monitor => ExpData::Monitor(monitor_exp::run_shard(world, cfg, scope)),
         };
         (data, shard_world.into_evidence(mark))
     });
 
     // Absorb in task order (experiment-major, shard-minor) — the same
     // canonical order regardless of worker count, and the same order a
-    // stage-at-a-time driver produces across separate waves.
-    let mut datas = Vec::with_capacity(finished.len());
+    // stage-at-a-time driver produces across separate waves — and gather
+    // each experiment's shard datasets in shard order.
+    let (mut dns, mut http, mut https, mut monitor) = (vec![], vec![], vec![], vec![]);
     for (data, evidence) in finished {
         live.absorb_evidence(evidence, mark);
-        datas.push(data);
+        match data {
+            ExpData::Dns(d) => dns.push(d),
+            ExpData::Http(d) => http.push(d),
+            ExpData::Https(d) => https.push(d),
+            ExpData::Monitor(d) => monitor.push(d),
+        }
     }
-
-    let shard_count = plans.len();
-    let mut parts = datas.into_iter();
     experiments
         .iter()
-        .map(|&exp| {
-            let chunk = parts.by_ref().take(shard_count);
-            match exp {
-                Experiment::Dns => ExpData::Dns(merge_dns(
-                    chunk
-                        .map(|d| match d {
-                            ShardData::Dns(d) => d,
-                            _ => unreachable!("task order is experiment-major"),
-                        })
-                        .collect(),
-                )),
-                Experiment::Http => ExpData::Http(merge_http(
-                    chunk
-                        .map(|d| match d {
-                            ShardData::Http(d) => d,
-                            _ => unreachable!("task order is experiment-major"),
-                        })
-                        .collect(),
-                )),
-                Experiment::Https => ExpData::Https(merge_https(
-                    chunk
-                        .map(|d| match d {
-                            ShardData::Https(d) => d,
-                            _ => unreachable!("task order is experiment-major"),
-                        })
-                        .collect(),
-                )),
-                Experiment::Monitor => ExpData::Monitor(merge_monitor(
-                    chunk
-                        .map(|d| match d {
-                            ShardData::Monitor(d) => d,
-                            _ => unreachable!("task order is experiment-major"),
-                        })
-                        .collect(),
-                )),
-            }
+        .map(|exp| match exp {
+            Experiment::Dns(_) => ExpData::Dns(merge_dns(std::mem::take(&mut dns))),
+            Experiment::Http => ExpData::Http(merge_http(std::mem::take(&mut http))),
+            Experiment::Https => ExpData::Https(merge_https(std::mem::take(&mut https))),
+            Experiment::Monitor => ExpData::Monitor(merge_monitor(std::mem::take(&mut monitor))),
         })
         .collect()
 }
@@ -391,8 +353,7 @@ pub(crate) fn merge_https(parts: Vec<HttpsDataset>) -> HttpsDataset {
     merged
 }
 
-/// Merge per-shard monitoring datasets (canonical probe-domain order, the
-/// same invariant the unsharded experiment maintains).
+/// Merge per-shard monitoring datasets (canonical probe-domain order).
 pub(crate) fn merge_monitor(parts: Vec<MonitorDataset>) -> MonitorDataset {
     let mut merged = MonitorDataset::default();
     let mut window: Option<u64> = None;
@@ -499,7 +460,7 @@ mod tests {
     fn overlay_forks_match_deep_clones_at_any_worker_count() {
         // The shared-`Arc` world fork is a pure allocation optimization:
         // running every experiment wave on deeply-unshared shard worlds
-        // (the historical whole-clone executor) must produce byte-identical
+        // (whole-clone forks) must produce byte-identical
         // datasets AND byte-identical absorbed evidence, at every worker
         // count. `deep_fork` flips the seam inside `run_wave` itself, so
         // the two paths differ only in how shard worlds are materialized.
@@ -509,7 +470,7 @@ mod tests {
             ..StudyConfig::default()
         };
         let all = [
-            Experiment::Dns,
+            Experiment::Dns(DnsExpOptions::default()),
             Experiment::Http,
             Experiment::Https,
             Experiment::Monitor,

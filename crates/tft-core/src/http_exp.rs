@@ -9,7 +9,7 @@
 use crate::config::StudyConfig;
 use crate::crawl::Sampler;
 use crate::ethics::ByteBudget;
-use crate::exec::ProbeScope;
+use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{HttpDataset, HttpObservation, ObjectResult, ProbeObject, Quarantine};
 use crate::quality::{delivery_outcome, DataQuality, ProbeOutcome};
 use httpwire::{Response, Uri};
@@ -37,8 +37,7 @@ pub fn object_body(obj: ProbeObject) -> Vec<u8> {
 /// The reference body as a borrowed slice, built once per process.
 ///
 /// The JS body alone is 258 KB assembled from ~1300 `format!` fragments;
-/// rebuilding it per fetch (as `fetch_object` once did) dominated the
-/// study's allocation profile. The cache is keyed by object and filled on
+/// rebuilding it per fetch would dominate the study's allocation profile. The cache is keyed by object and filled on
 /// first use — contents are a pure function of the object, so process-wide
 /// sharing cannot perturb determinism.
 pub fn object_body_ref(obj: ProbeObject) -> &'static [u8] {
@@ -251,19 +250,19 @@ fn measure_rest(
 }
 
 /// Run the experiment: phase-1 AS coverage, then phase-2 revisits of
-/// flagged ASes.
+/// flagged ASes. Like every standalone run this is a one-experiment study
+/// wave forked from `world` (see [`crate::exec`]), so it returns the
+/// dataset a study on `world` produces.
 pub fn run(world: &mut World, cfg: &StudyConfig) -> HttpDataset {
-    let scope = ProbeScope::full(world);
-    run_scoped(world, cfg, scope)
+    match exec::run_alone(world, cfg, Experiment::Http) {
+        ExpData::Http(data) => data,
+        _ => unreachable!("an HTTP wave returns an HTTP dataset"),
+    }
 }
 
-/// Run one population shard (parallel executor entry point).
-pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpDataset {
-    run_scoped(world, cfg, scope)
-}
-
+/// Run one population shard (the executor's task body).
 // tft-lint: hot-root — per-probe HTTP experiment loop
-fn run_scoped(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpDataset {
+pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpDataset {
     let host = provision(world);
     let mut sampler = Sampler::new(
         &scope.counts,

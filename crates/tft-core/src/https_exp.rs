@@ -10,7 +10,7 @@
 
 use crate::config::StudyConfig;
 use crate::crawl::Sampler;
-use crate::exec::ProbeScope;
+use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{CertProbe, HttpsDataset, HttpsObservation, SiteClass};
 use crate::quality::{delivery_outcome, DataQuality, ProbeOutcome};
 use certs::{exact_match, verify_chain};
@@ -104,19 +104,19 @@ fn probe_ok(world: &World, probe: &CertProbe) -> bool {
     }
 }
 
-/// Run the experiment.
+/// Run the experiment, as a one-experiment study wave forked from `world`
+/// (see [`crate::exec`]), so it returns the dataset a study on `world`
+/// produces.
 pub fn run(world: &mut World, cfg: &StudyConfig) -> HttpsDataset {
-    let scope = ProbeScope::full(world);
-    run_scoped(world, cfg, scope)
+    match exec::run_alone(world, cfg, Experiment::Https) {
+        ExpData::Https(data) => data,
+        _ => unreachable!("an HTTPS wave returns an HTTPS dataset"),
+    }
 }
 
-/// Run one population shard (parallel executor entry point).
-pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpsDataset {
-    run_scoped(world, cfg, scope)
-}
-
+/// Run one population shard (the executor's task body).
 // tft-lint: hot-root — per-probe HTTPS experiment loop
-fn run_scoped(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpsDataset {
+pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpsDataset {
     let t0 = world.now().as_millis();
     let mut sampler = Sampler::new(
         &scope.counts,

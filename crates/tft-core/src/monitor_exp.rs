@@ -8,7 +8,7 @@
 
 use crate::config::StudyConfig;
 use crate::crawl::Sampler;
-use crate::exec::ProbeScope;
+use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{MonitorDataset, MonitorObservation};
 use crate::quality::delivery_outcome;
 use httpwire::{Response, Uri};
@@ -23,19 +23,20 @@ const SEED_SALT: u64 = 0x303;
 /// monitoring product's own UA, an attribution signal).
 const OWN_UA: &str = "Hola/1.108";
 
-/// Run the experiment: probe, then hold the observation window open.
+/// Run the experiment: probe, then hold the observation window open. Like
+/// every standalone run this is a one-experiment study wave forked from
+/// `world` (see [`crate::exec`]), so it returns the dataset a study on
+/// `world` produces.
 pub fn run(world: &mut World, cfg: &StudyConfig) -> MonitorDataset {
-    let scope = ProbeScope::full(world);
-    run_scoped(world, cfg, scope)
+    match exec::run_alone(world, cfg, Experiment::Monitor) {
+        ExpData::Monitor(data) => data,
+        _ => unreachable!("a monitoring wave returns a monitoring dataset"),
+    }
 }
 
-/// Run one population shard (parallel executor entry point).
-pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> MonitorDataset {
-    run_scoped(world, cfg, scope)
-}
-
+/// Run one population shard (the executor's task body).
 // tft-lint: hot-root — per-probe monitor experiment loop
-fn run_scoped(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> MonitorDataset {
+pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> MonitorDataset {
     let mut sampler = Sampler::new(
         &scope.counts,
         scope.rng(world.now().as_millis(), SEED_SALT),

@@ -8,14 +8,18 @@
 //! threads — no barrier between experiments. The five analysis passes run
 //! concurrently afterwards. Output is byte-identical at any worker count —
 //! the worker knob trades wall-clock for cores, nothing else.
+//!
+//! There is one execution path: [`StudyDriver`]. [`run_study_with`] runs a
+//! driver to completion; a caller that wants progress steps it instead.
 
 use crate::analysis;
 use crate::config::StudyConfig;
+use crate::dns_exp::DnsExpOptions;
 use crate::exec::{self, ExecOptions, ExpData, Experiment};
 use crate::obs::{DnsDataset, HttpDataset, HttpsDataset, MonitorDataset};
 use inetdb::{Asn, CountryCode};
 use netsim::SimTime;
-use proxynet::{EvidenceMark, World, ZId};
+use proxynet::{World, ZId};
 use std::collections::BTreeSet;
 use substrate::pool::Pool;
 
@@ -94,16 +98,9 @@ pub fn run_study(world: &mut World, cfg: &StudyConfig) -> StudyReport {
     run_study_with(world, cfg, &ExecOptions::default())
 }
 
-/// One analysis pass's output, so heterogeneous passes can share the pool.
-enum AnalysisOut {
-    Dns(analysis::dns::DnsAnalysis),
-    Http(analysis::http::HttpAnalysis),
-    Https(analysis::https::HttpsAnalysis),
-    Monitor(analysis::monitor::MonitorAnalysis),
-    Coverage(Coverage),
-}
-
-/// [`run_study`] with explicit execution options (worker count).
+/// [`run_study`] with explicit execution options (worker count): a
+/// [`StudyDriver`] over `world`, run to completion, whose mutated world
+/// replaces `world`.
 ///
 /// The report is byte-identical for any `exec.workers`: shards and their
 /// seeds are fixed by the campaign plan, and results merge in canonical
@@ -113,106 +110,11 @@ pub fn run_study_with(
     cfg: &StudyConfig,
     exec_opts: &ExecOptions,
 ) -> StudyReport {
-    let started = world.now();
-    let workers = exec_opts.workers;
-
-    // Fork point for every shard of every experiment: the study-start
-    // snapshot. The clone is cheap (shared-`Arc` world, see
-    // [`proxynet::World`]); `mark` is where absorbed shard evidence starts.
-    let base = world.clone();
-    let mark = world.evidence_mark();
-    let mut waves = exec::run_wave(
-        world,
-        &base,
-        &mark,
-        cfg,
-        workers,
-        &[
-            Experiment::Dns,
-            Experiment::Http,
-            Experiment::Https,
-            Experiment::Monitor,
-        ],
-        false,
-    )
-    .into_iter();
-    let (
-        Some(ExpData::Dns(dns_data)),
-        Some(ExpData::Http(http_data)),
-        Some(ExpData::Https(https_data)),
-        Some(ExpData::Monitor(monitor_data)),
-    ) = (waves.next(), waves.next(), waves.next(), waves.next())
-    else {
-        unreachable!("run_wave returns one dataset per requested experiment, in order");
-    };
-
-    analyze_into_report(
-        world,
-        cfg,
-        workers,
-        started,
-        dns_data,
-        http_data,
-        https_data,
-        monitor_data,
-    )
-}
-
-/// The shared back half of a study: run all analysis passes over the four
-/// merged datasets and assemble the report. Both [`run_study_with`] and
-/// [`StudyDriver`] end here, so the two entry points cannot drift.
-#[allow(clippy::too_many_arguments)]
-fn analyze_into_report(
-    world: &World,
-    cfg: &StudyConfig,
-    workers: usize,
-    started: SimTime,
-    dns_data: DnsDataset,
-    http_data: HttpDataset,
-    https_data: HttpsDataset,
-    monitor_data: MonitorDataset,
-) -> StudyReport {
-    // All four analysis passes (plus the coverage tally) are read-only over
-    // the merged datasets and the world; run them concurrently. Pool::run
-    // clamps workers to the task count itself and returns in index order,
-    // so destructuring below is deterministic.
-    let mut outs = Pool::new(workers).run(vec![0usize, 1, 2, 3, 4], |_, which| match which {
-        0 => AnalysisOut::Dns(analysis::dns::analyze(&dns_data, world, cfg)),
-        1 => AnalysisOut::Http(analysis::http::analyze(&http_data, world, cfg)),
-        2 => AnalysisOut::Https(analysis::https::analyze(&https_data, world, cfg)),
-        3 => AnalysisOut::Monitor(analysis::monitor::analyze(&monitor_data, world, cfg)),
-        _ => AnalysisOut::Coverage(coverage(
-            world,
-            &dns_data,
-            &http_data,
-            &https_data,
-            &monitor_data,
-        )),
-    });
-    let (
-        Some(AnalysisOut::Coverage(coverage)),
-        Some(AnalysisOut::Monitor(monitor)),
-        Some(AnalysisOut::Https(https)),
-        Some(AnalysisOut::Http(http)),
-        Some(AnalysisOut::Dns(dns)),
-    ) = (outs.pop(), outs.pop(), outs.pop(), outs.pop(), outs.pop())
-    else {
-        unreachable!("Pool::run returns results in index order");
-    };
-
-    StudyReport {
-        dns_data,
-        dns,
-        http_data,
-        http,
-        https_data,
-        https,
-        monitor_data,
-        monitor,
-        started,
-        finished: world.now(),
-        coverage,
-    }
+    let mut driver = StudyDriver::new(world.clone(), cfg.clone(), exec_opts);
+    driver.run_to_completion();
+    let (report, finished) = driver.into_parts();
+    *world = finished;
+    report
 }
 
 /// The stages of a study, in the order [`StudyDriver::step`] runs them.
@@ -246,25 +148,23 @@ impl StudyStage {
     }
 }
 
-/// [`run_study_with`], resumable one stage at a time.
+/// A study as an explicit state machine: the one way a study runs.
 ///
-/// A server that wants to stream progress while a study runs cannot call
-/// [`run_study_with`] — it blocks until the whole study finishes. The driver
-/// owns the world and exposes the same pipeline as an explicit state
-/// machine: each [`step`](StudyDriver::step) runs exactly one stage
-/// (experiment or analysis), and after the last one the report is ready.
-/// Stepping through all stages produces a report **byte-identical** to
-/// [`run_study_with`] at the same worker count — every stage forks its
-/// shards from the same study-start snapshot the batch path uses and
-/// absorbs them in the same canonical order, so splitting the wave across
-/// steps cannot change a byte. The equivalence is pinned by a test.
+/// The driver owns the world.
+/// [`run_to_completion`](StudyDriver::run_to_completion), which
+/// [`run_study_with`] calls, runs every pending experiment as **one** wave,
+/// then the analyses. A server that wants to stream progress calls
+/// [`step`](StudyDriver::step) instead, which runs exactly one stage
+/// (experiment or analysis); after the last one the report is ready.
+/// Both produce **byte-identical** reports at any worker count — every
+/// experiment's shards fork from the same study-start snapshot and absorb
+/// in the same canonical order, so splitting the wave across steps cannot
+/// change a byte. The equivalence is pinned by a test.
 pub struct StudyDriver {
     pub(crate) world: World,
-    /// The study-start snapshot every stage's shards fork from — the same
-    /// fork point [`run_study_with`]'s single wave uses.
+    /// The study-start snapshot every experiment's shards fork from; its
+    /// [`World::evidence_mark`] is where absorbed shard evidence starts.
     pub(crate) base: World,
-    /// Evidence high-water mark at study start, for shard absorption.
-    pub(crate) mark: EvidenceMark,
     pub(crate) cfg: StudyConfig,
     pub(crate) workers: usize,
     pub(crate) started: SimTime,
@@ -278,18 +178,15 @@ pub struct StudyDriver {
 
 impl StudyDriver {
     /// Start a driver over `world`. No work happens until
-    /// [`step`](StudyDriver::step) is called.
+    /// [`step`](StudyDriver::step) or
+    /// [`run_to_completion`](StudyDriver::run_to_completion) is called.
     pub fn new(world: World, cfg: StudyConfig, exec_opts: &ExecOptions) -> StudyDriver {
-        let started = world.now();
-        let base = world.clone();
-        let mark = world.evidence_mark();
         StudyDriver {
+            started: world.now(),
+            base: world.clone(),
             world,
-            base,
-            mark,
             cfg,
             workers: exec_opts.workers,
-            started,
             next: StudyStage::Dns,
             dns_data: None,
             http_data: None,
@@ -310,87 +207,133 @@ impl StudyDriver {
         self.next == StudyStage::Done
     }
 
-    /// Run the next pending stage and return it. Returns
-    /// [`StudyStage::Done`] (running nothing) once the study is complete.
+    /// Run the next pending stage and return it. An experiment stage runs
+    /// as a one-experiment wave. Returns [`StudyStage::Done`] (running
+    /// nothing) once the study is complete.
     pub fn step(&mut self) -> StudyStage {
         let stage = self.next;
         match stage {
-            StudyStage::Dns => {
-                let ExpData::Dns(d) = self.run_stage(Experiment::Dns) else {
-                    unreachable!("run_wave returns the requested experiment");
-                };
-                self.dns_data = Some(d);
-                self.next = StudyStage::Http;
-            }
-            StudyStage::Http => {
-                let ExpData::Http(d) = self.run_stage(Experiment::Http) else {
-                    unreachable!("run_wave returns the requested experiment");
-                };
-                self.http_data = Some(d);
-                self.next = StudyStage::Https;
-            }
-            StudyStage::Https => {
-                let ExpData::Https(d) = self.run_stage(Experiment::Https) else {
-                    unreachable!("run_wave returns the requested experiment");
-                };
-                self.https_data = Some(d);
-                self.next = StudyStage::Monitor;
-            }
-            StudyStage::Monitor => {
-                let ExpData::Monitor(d) = self.run_stage(Experiment::Monitor) else {
-                    unreachable!("run_wave returns the requested experiment");
-                };
-                self.monitor_data = Some(d);
-                self.next = StudyStage::Analyze;
-            }
-            StudyStage::Analyze => {
-                let (Some(dns), Some(http), Some(https), Some(monitor)) = (
-                    self.dns_data.take(),
-                    self.http_data.take(),
-                    self.https_data.take(),
-                    self.monitor_data.take(),
-                ) else {
-                    unreachable!("experiment stages run before Analyze");
-                };
-                self.report = Some(analyze_into_report(
-                    &self.world,
-                    &self.cfg,
-                    self.workers,
-                    self.started,
-                    dns,
-                    http,
-                    https,
-                    monitor,
-                ));
-                self.next = StudyStage::Done;
-            }
+            StudyStage::Analyze => self.analyze(),
             StudyStage::Done => {}
+            _ => self.run_experiments(1),
         }
         stage
     }
 
-    /// Run one experiment as a single-entry wave: shards fork from the
-    /// study-start snapshot and absorb into the live world exactly as the
-    /// batch path's combined wave would.
-    fn run_stage(&mut self, exp: Experiment) -> ExpData {
-        exec::run_wave(
-            &mut self.world,
-            &self.base,
-            &self.mark,
-            &self.cfg,
-            self.workers,
-            &[exp],
-            false,
-        )
-        .pop()
-        .expect("run_wave returns one dataset per requested experiment")
+    /// Run every remaining stage: all pending experiments as one wave, so
+    /// no pool barrier separates them, then the analyses.
+    pub fn run_to_completion(&mut self) {
+        self.run_experiments(usize::MAX);
+        if self.next == StudyStage::Analyze {
+            self.analyze();
+        }
     }
 
-    /// Run every remaining stage.
-    pub fn run_to_completion(&mut self) {
-        while !self.is_done() {
-            self.step();
+    /// Run up to `limit` pending experiment stages as one wave forked from
+    /// the study-start snapshot, file each merged dataset in its slot, and
+    /// advance the stage cursor past them.
+    fn run_experiments(&mut self, limit: usize) {
+        let pending: Vec<Experiment> = [
+            (StudyStage::Dns, Experiment::Dns(DnsExpOptions::default())),
+            (StudyStage::Http, Experiment::Http),
+            (StudyStage::Https, Experiment::Https),
+            (StudyStage::Monitor, Experiment::Monitor),
+        ]
+        .into_iter()
+        .filter(|(stage, _)| *stage >= self.next)
+        .map(|(_, exp)| exp)
+        .take(limit)
+        .collect();
+        if pending.is_empty() {
+            return;
         }
+        let mark = self.base.evidence_mark();
+        let wave = exec::run_wave(
+            &mut self.world,
+            &self.base,
+            &mark,
+            &self.cfg,
+            self.workers,
+            &pending,
+            false,
+        );
+        for data in wave {
+            self.next = match data {
+                ExpData::Dns(d) => {
+                    self.dns_data = Some(d);
+                    StudyStage::Http
+                }
+                ExpData::Http(d) => {
+                    self.http_data = Some(d);
+                    StudyStage::Https
+                }
+                ExpData::Https(d) => {
+                    self.https_data = Some(d);
+                    StudyStage::Monitor
+                }
+                ExpData::Monitor(d) => {
+                    self.monitor_data = Some(d);
+                    StudyStage::Analyze
+                }
+            };
+        }
+    }
+
+    /// The Analyze stage: run every analysis pass over the four merged
+    /// datasets and assemble the report.
+    fn analyze(&mut self) {
+        let (Some(dns_data), Some(http_data), Some(https_data), Some(monitor_data)) = (
+            self.dns_data.take(),
+            self.http_data.take(),
+            self.https_data.take(),
+            self.monitor_data.take(),
+        ) else {
+            unreachable!("experiment stages run before Analyze");
+        };
+        let (world, cfg) = (&self.world, &self.cfg);
+        // All four analysis passes (plus the coverage tally) are read-only
+        // over the merged datasets and the world; run them concurrently.
+        // Pool::run clamps workers to the task count itself and returns in
+        // index order, so destructuring below is deterministic.
+        let mut outs =
+            Pool::new(self.workers).run(vec![0usize, 1, 2, 3, 4], |_, which| match which {
+                0 => AnalysisOut::Dns(analysis::dns::analyze(&dns_data, world, cfg)),
+                1 => AnalysisOut::Http(analysis::http::analyze(&http_data, world, cfg)),
+                2 => AnalysisOut::Https(analysis::https::analyze(&https_data, world, cfg)),
+                3 => AnalysisOut::Monitor(analysis::monitor::analyze(&monitor_data, world, cfg)),
+                _ => AnalysisOut::Coverage(coverage(
+                    world,
+                    &dns_data,
+                    &http_data,
+                    &https_data,
+                    &monitor_data,
+                )),
+            });
+        let (
+            Some(AnalysisOut::Coverage(coverage)),
+            Some(AnalysisOut::Monitor(monitor)),
+            Some(AnalysisOut::Https(https)),
+            Some(AnalysisOut::Http(http)),
+            Some(AnalysisOut::Dns(dns)),
+        ) = (outs.pop(), outs.pop(), outs.pop(), outs.pop(), outs.pop())
+        else {
+            unreachable!("Pool::run returns results in index order");
+        };
+
+        self.report = Some(StudyReport {
+            dns_data,
+            dns,
+            http_data,
+            http,
+            https_data,
+            https,
+            monitor_data,
+            monitor,
+            started: self.started,
+            finished: world.now(),
+            coverage,
+        });
+        self.next = StudyStage::Done;
     }
 
     /// The finished report, once [`is_done`](StudyDriver::is_done).
@@ -415,6 +358,15 @@ impl StudyDriver {
             .expect("StudyDriver::into_parts before the study completed");
         (report, self.world)
     }
+}
+
+/// One analysis pass's output, so heterogeneous passes can share the pool.
+enum AnalysisOut {
+    Dns(analysis::dns::DnsAnalysis),
+    Http(analysis::http::HttpAnalysis),
+    Https(analysis::https::HttpsAnalysis),
+    Monitor(analysis::monitor::MonitorAnalysis),
+    Coverage(Coverage),
 }
 
 /// Unique-node / AS / country tallies across all four datasets.

@@ -2,6 +2,8 @@
 //! stage must reproduce the monolithic entry point byte-for-byte, at any
 //! worker count, including the world-side effects (billing, server logs).
 
+use tft_core::dns_exp::{self, DnsExpOptions};
+use tft_core::{http_exp, https_exp, monitor_exp};
 use tft_core::{render_tables, run_study_with, ExecOptions, StudyConfig, StudyDriver, StudyStage};
 use worldgen::{build, smoke_spec};
 
@@ -66,7 +68,11 @@ fn driver_matches_run_study_with_exactly() {
             cfg.clone(),
             &ExecOptions::with_workers(workers),
         );
-        driver.run_to_completion();
+        // One wave per stage here; `run_study_with` runs all four
+        // experiments as one wave.
+        while !driver.is_done() {
+            driver.step();
+        }
         let (report, world) = driver.into_parts();
         let stepped = (
             render_tables(&report),
@@ -79,6 +85,47 @@ fn driver_matches_run_study_with_exactly() {
             monolithic(workers),
             "driver diverged from run_study_with at workers={workers}"
         );
+    }
+}
+
+#[test]
+fn standalone_runs_return_the_study_datasets() {
+    // A standalone experiment run is a one-experiment study wave, so on a
+    // fresh world it returns exactly the dataset the study does.
+    let cfg = smoke_cfg();
+    let fresh = || build(&smoke_spec(SEED)).world;
+    let standalone = [
+        format!("{:?}", dns_exp::run(&mut fresh(), &cfg)),
+        format!(
+            "{:?}",
+            dns_exp::run_with(&mut fresh(), &cfg, DnsExpOptions::default())
+        ),
+        format!("{:?}", http_exp::run(&mut fresh(), &cfg)),
+        format!("{:?}", https_exp::run(&mut fresh(), &cfg)),
+        format!("{:?}", monitor_exp::run(&mut fresh(), &cfg)),
+    ];
+    for workers in [1, 4] {
+        let report = run_study_with(&mut fresh(), &cfg, &ExecOptions::with_workers(workers));
+        let study = [
+            format!("{:?}", report.dns_data),
+            format!("{:?}", report.dns_data),
+            format!("{:?}", report.http_data),
+            format!("{:?}", report.https_data),
+            format!("{:?}", report.monitor_data),
+        ];
+        let names = [
+            "dns_exp::run",
+            "dns_exp::run_with",
+            "http_exp::run",
+            "https_exp::run",
+            "monitor_exp::run",
+        ];
+        for ((name, alone), in_study) in names.iter().zip(&standalone).zip(&study) {
+            assert!(
+                alone == in_study,
+                "{name} diverged from the study's dataset at workers={workers}"
+            );
+        }
     }
 }
 

@@ -297,7 +297,8 @@ fn monitoring_was_discoverable_from_dns_experiment_logs() {
     built.world.run_to_quiescence();
     let scan = tft_core::analysis::monitor::discovery_scan(
         built.world.web_server().log().iter(),
-        |host| host.starts_with("d1-"),
+        // Probe names carry their shard's tag: `s{k}-d1-{i}`.
+        |host| host.contains("-d1-"),
     );
     assert!(scan.probe_domains > 500);
     assert!(
