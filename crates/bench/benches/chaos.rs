@@ -1,7 +1,7 @@
-//! The chaos machinery's zero-fault fast path: a world with the full
-//! resilience stack armed but idle (inert-scoped campaign, 20 s deadline,
-//! closed circuit breakers, backoff policy that never fires) must cost
-//! nothing measurable over a world with the machinery absent.
+//! The chaos machinery's zero-fault fast path: a world with its fault
+//! machinery armed but idle (a campaign scoped to no node, the 20 s
+//! request deadline) must cost nothing measurable over a world with the
+//! machinery absent.
 //!
 //! Two proofs, one noise-free and one wall-clock:
 //!
@@ -16,13 +16,13 @@
 use std::hint::black_box;
 
 use httpwire::{Response, Uri};
-use netsim::{FaultCampaign, FaultProfile, FaultRule, FaultScope, SimDuration};
-use proxynet::{CircuitBreakerConfig, RetryPolicy, UsernameOptions, World};
+use netsim::{FaultCampaign, FaultProfile, FaultRule, FaultScope};
+use proxynet::{UsernameOptions, World};
 use substrate::bench::{fmt_ns, Harness};
 
 /// A small genuinely zero-fault world (even the "clean" ISP default of 1%
-/// link flakiness is zeroed — a single retry would bill its backoff to the
-/// fast path) with one registered probe host.
+/// link flakiness is zeroed — a single retry would bill its extra attempt
+/// to the fast path) with one registered probe host.
 fn probe_world() -> (World, String) {
     use worldgen::spec::*;
     let spec = WorldSpec {
@@ -60,27 +60,14 @@ fn probe_world() -> (World, String) {
     (built.world, host)
 }
 
-/// Arm every resilience knob without letting any of them fire: a campaign
-/// rule scoped to a region no node inhabits, the default deadline, breakers
-/// that need a thousand consecutive failures, and a backoff policy that
-/// only draws on retries.
+/// Arm the fault machinery without letting it fire: a campaign rule
+/// scoped to a region no node inhabits, and the default deadline.
 fn arm(world: &mut World) {
     world.set_fault_campaign(FaultCampaign::none().with_rule(FaultRule {
         scope: FaultScope::region("ZZ"),
         window: None,
         profile: FaultProfile::Outage,
     }));
-    world.set_circuit_breaker(
-        Some(CircuitBreakerConfig {
-            failure_threshold: 1_000,
-            cooldown: SimDuration::from_secs(60),
-        }),
-        None,
-    );
-    world.set_retry_policy(RetryPolicy::exponential(
-        SimDuration::from_millis(250),
-        SimDuration::from_secs(4),
-    ));
 }
 
 /// One measured batch: distinct sessions spread requests over exit nodes.
@@ -115,7 +102,7 @@ fn main() {
     };
     assert_eq!(
         baseline_out, armed_out,
-        "the armed-but-idle resilience stack changed the zero-fault run"
+        "the armed-but-idle fault machinery changed the zero-fault run"
     );
 
     // Proof 2: wall-clock medians, archived to BENCH_chaos.json.

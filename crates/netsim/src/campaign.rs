@@ -146,8 +146,9 @@ impl FaultCampaign {
         FaultCampaign::default()
     }
 
-    /// A campaign applying one injector to all traffic at all times — the
-    /// legacy single-knob configuration.
+    /// A campaign applying one injector to all traffic at all times: a
+    /// uniformly lossy or noisy link. It draws exactly what the injector
+    /// alone draws.
     pub fn uniform(injector: FaultInjector) -> Self {
         if injector.is_none() {
             return FaultCampaign::none();

@@ -23,9 +23,6 @@ pub enum AttemptOutcome {
     DnsError,
     /// The exchange stalled past the per-request deadline.
     TimedOut,
-    /// The node (or its whole ISP) was skipped because its circuit breaker
-    /// was open.
-    CircuitOpen,
     /// An outcome token this client version does not recognize. Produced
     /// only by [`TimelineDebug::parse`]: a newer proxy version emitting a
     /// new token must not erase the rest of the attempt evidence.
@@ -40,7 +37,6 @@ impl fmt::Display for AttemptOutcome {
             AttemptOutcome::Flaked => "conn_failed",
             AttemptOutcome::DnsError => "dns_error",
             AttemptOutcome::TimedOut => "timeout",
-            AttemptOutcome::CircuitOpen => "circuit_open",
             AttemptOutcome::Unknown => "unknown",
         };
         f.write_str(s)
@@ -100,7 +96,6 @@ impl TimelineDebug {
                 "conn_failed" => AttemptOutcome::Flaked,
                 "dns_error" => AttemptOutcome::DnsError,
                 "timeout" => AttemptOutcome::TimedOut,
-                "circuit_open" => AttemptOutcome::CircuitOpen,
                 _ => AttemptOutcome::Unknown,
             };
             attempts.push(Attempt {
@@ -179,9 +174,6 @@ pub enum ProxyError {
     /// The per-request deadline (the paper's 20 s budget) elapsed before
     /// any attempt completed; the timeline lists what was tried.
     DeadlineExceeded(TimelineDebug),
-    /// Every candidate exit had an open circuit breaker — the request
-    /// failed fast without burning the retry budget on a black hole.
-    CircuitOpen(TimelineDebug),
 }
 
 impl fmt::Display for ProxyError {
@@ -202,13 +194,6 @@ impl fmt::Display for ProxyError {
                     d.attempts.len()
                 )
             }
-            ProxyError::CircuitOpen(d) => {
-                write!(
-                    f,
-                    "all exits circuit-open ({} candidate(s) skipped)",
-                    d.attempts.len()
-                )
-            }
         }
     }
 }
@@ -221,8 +206,7 @@ impl ProxyError {
         match self {
             ProxyError::AllRetriesFailed(d)
             | ProxyError::ExitDnsFailure(d)
-            | ProxyError::DeadlineExceeded(d)
-            | ProxyError::CircuitOpen(d) => Some(d),
+            | ProxyError::DeadlineExceeded(d) => Some(d),
             _ => None,
         }
     }
@@ -297,19 +281,13 @@ mod tests {
     #[test]
     fn new_outcome_tokens_roundtrip() {
         let d = TimelineDebug {
-            attempts: vec![
-                Attempt {
-                    zid: ZId(0xa),
-                    outcome: AttemptOutcome::CircuitOpen,
-                },
-                Attempt {
-                    zid: ZId(0xb),
-                    outcome: AttemptOutcome::TimedOut,
-                },
-            ],
+            attempts: vec![Attempt {
+                zid: ZId(0xb),
+                outcome: AttemptOutcome::TimedOut,
+            }],
         };
         let v = d.to_header_value();
-        assert_eq!(v, format!("{}=circuit_open,{}=timeout", ZId(0xa), ZId(0xb)));
+        assert_eq!(v, format!("{}=timeout", ZId(0xb)));
         assert_eq!(TimelineDebug::parse(&v).unwrap(), d);
     }
 
@@ -323,7 +301,6 @@ mod tests {
         };
         assert!(ProxyError::ExitDnsFailure(d.clone()).debug().is_some());
         assert!(ProxyError::DeadlineExceeded(d.clone()).debug().is_some());
-        assert!(ProxyError::CircuitOpen(d.clone()).debug().is_some());
         assert!(ProxyError::SuperProxyDnsFailure.debug().is_none());
         assert!(ProxyError::PortNotAllowed(80).debug().is_none());
     }

@@ -354,15 +354,15 @@ impl World {
 
     // -- chaos machinery -----------------------------------------------------
 
-    /// Judge one exit-link delivery: the uniform injector first (the legacy
-    /// single knob), then the scripted campaign — first interference wins.
-    /// With no campaign installed this is byte-for-byte the legacy
-    /// judgement: the campaign branch draws nothing.
-    fn judge_link(&self, node_id: NodeId, at: SimTime, rng: &mut SimRng) -> FaultVerdict {
-        let verdict = self.fault.judge(rng);
-        if !verdict.is_clean() || self.campaign.is_none() {
-            return verdict;
-        }
+    /// Judge one exit-link delivery against the world's fault campaign, the
+    /// one fault source on the exit link (GET, CONNECT and SMTP relays
+    /// alike). An inert campaign (the default) draws nothing.
+    pub(crate) fn judge_link(
+        &self,
+        node_id: NodeId,
+        at: SimTime,
+        rng: &mut SimRng,
+    ) -> FaultVerdict {
         let node = &self.nodes[node_id.0 as usize];
         let target = FaultTarget {
             region: node.country.as_str(),
@@ -375,21 +375,6 @@ impl World {
     /// Has the per-request budget elapsed by proxy-time `t`?
     fn past_deadline(&self, t0: SimTime, t: SimTime) -> bool {
         self.request_deadline.is_some_and(|dl| t >= t0 + dl)
-    }
-
-    /// When every recorded attempt was skipped on an open circuit, the
-    /// request failed fast rather than exhausting retries.
-    fn all_retries_error(debug: TimelineDebug) -> ProxyError {
-        if !debug.attempts.is_empty()
-            && debug
-                .attempts
-                .iter()
-                .all(|a| a.outcome == AttemptOutcome::CircuitOpen)
-        {
-            ProxyError::CircuitOpen(debug)
-        } else {
-            ProxyError::AllRetriesFailed(debug)
-        }
     }
 
     // -- the client-facing flows ----------------------------------------------
@@ -445,16 +430,6 @@ impl World {
             };
             tried.push(node_id);
             let zid = self.nodes[node_id.0 as usize].zid;
-            let node_u = node_id.0 as u64;
-            let asn_u = self.nodes[node_id.0 as usize].asn.0 as u64;
-            // Skipping an open circuit costs neither time nor budget.
-            if self.breakers.enabled() && !self.breakers.allows(node_u, asn_u, t) {
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::CircuitOpen,
-                });
-                continue;
-            }
             let t_exit = t + l.super_to_exit.sample(&mut rng);
             self.trace
                 .record_with(t_exit, TraceCategory::SuperProxy, || {
@@ -473,9 +448,7 @@ impl World {
                     zid,
                     outcome: AttemptOutcome::Offline,
                 });
-                self.breakers.record_failure(node_u, asn_u, t_exit);
                 t = t_exit + l.super_to_exit.sample(&mut rng);
-                t += self.retry_policy.delay(attempt, &mut rng);
                 continue;
             }
             if flaked {
@@ -483,9 +456,7 @@ impl World {
                     zid,
                     outcome: AttemptOutcome::Flaked,
                 });
-                self.breakers.record_failure(node_u, asn_u, t_exit);
                 t = t_exit + l.super_to_exit.sample(&mut rng);
-                t += self.retry_policy.delay(attempt, &mut rng);
                 continue;
             }
             if matches!(verdict, FaultVerdict::Stall) {
@@ -495,12 +466,10 @@ impl World {
                     zid,
                     outcome: AttemptOutcome::TimedOut,
                 });
-                self.breakers.record_failure(node_u, asn_u, t_exit);
                 t = match self.request_deadline {
                     Some(dl) => t0 + dl,
                     None => t_exit + l.super_to_exit.sample(&mut rng),
                 };
-                t += self.retry_policy.delay(attempt, &mut rng);
                 continue;
             }
 
@@ -515,9 +484,6 @@ impl World {
                             zid,
                             outcome: AttemptOutcome::DnsError,
                         });
-                        // The link worked; NXDOMAIN is an answer, not a
-                        // failure, so the circuit stays closed.
-                        self.breakers.record_success(node_u, asn_u);
                         self.touch_session(opts, node_id, t_q);
                         self.advance_to(t_q + l.client_to_super.sample(&mut rng));
                         // NXDOMAIN is an authoritative answer, not a node
@@ -576,7 +542,6 @@ impl World {
                 zid,
                 outcome: AttemptOutcome::Success,
             });
-            self.breakers.record_success(node_u, asn_u);
             let t_back = t_origin
                 + l.exit_to_origin.sample(&mut rng)
                 + l.super_to_exit.sample(&mut rng)
@@ -613,7 +578,7 @@ impl World {
             });
         }
         self.advance_to(t + l.client_to_super.sample(&mut rng));
-        Err(Self::all_retries_error(debug))
+        Err(ProxyError::AllRetriesFailed(debug))
     }
 
     /// CONNECT tunnel + TLS certificate collection (Figure 3): the client
@@ -658,15 +623,6 @@ impl World {
             };
             tried.push(node_id);
             let zid = self.nodes[node_id.0 as usize].zid;
-            let node_u = node_id.0 as u64;
-            let asn_u = self.nodes[node_id.0 as usize].asn.0 as u64;
-            if self.breakers.enabled() && !self.breakers.allows(node_u, asn_u, t) {
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::CircuitOpen,
-                });
-                continue;
-            }
             let t_exit = t + l.super_to_exit.sample(&mut rng);
             let node = &self.nodes[node_id.0 as usize];
             if !node.online {
@@ -674,9 +630,7 @@ impl World {
                     zid,
                     outcome: AttemptOutcome::Offline,
                 });
-                self.breakers.record_failure(node_u, asn_u, t_exit);
                 t = t_exit + l.super_to_exit.sample(&mut rng);
-                t += self.retry_policy.delay(attempt, &mut rng);
                 continue;
             }
             let verdict = self.judge_link(node_id, t_exit, &mut rng);
@@ -688,9 +642,7 @@ impl World {
                     zid,
                     outcome: AttemptOutcome::Flaked,
                 });
-                self.breakers.record_failure(node_u, asn_u, t_exit);
                 t = t_exit + l.super_to_exit.sample(&mut rng);
-                t += self.retry_policy.delay(attempt, &mut rng);
                 continue;
             }
             if matches!(verdict, FaultVerdict::Stall) {
@@ -698,12 +650,10 @@ impl World {
                     zid,
                     outcome: AttemptOutcome::TimedOut,
                 });
-                self.breakers.record_failure(node_u, asn_u, t_exit);
                 t = match self.request_deadline {
                     Some(dl) => t0 + dl,
                     None => t_exit + l.super_to_exit.sample(&mut rng),
                 };
-                t += self.retry_policy.delay(attempt, &mut rng);
                 continue;
             }
             let t_exit = t_exit + verdict.extra_delay();
@@ -768,7 +718,6 @@ impl World {
                 zid,
                 outcome: AttemptOutcome::Success,
             });
-            self.breakers.record_success(node_u, asn_u);
             let t_back = t_origin
                 + l.exit_to_origin.sample(&mut rng)
                 + l.super_to_exit.sample(&mut rng)
@@ -790,7 +739,7 @@ impl World {
             });
         }
         self.advance_to(t + l.client_to_super.sample(&mut rng));
-        Err(Self::all_retries_error(debug))
+        Err(ProxyError::AllRetriesFailed(debug))
     }
 }
 

@@ -10,15 +10,14 @@
 //!   username parameters;
 //! - [`session`]: 60-second session stickiness;
 //! - [`client`]: responses, `X-Hola-Timeline-Debug` timelines, errors;
-//! - [`resilience`]: per-request deadlines, retry backoff, and per-node /
-//!   per-ISP circuit breakers (all off by default);
 //! - [`servers`]: the measurement web server (request log!), origin sites,
 //!   landing servers;
 //! - [`world`] / [`flows`]: the [`World`] runtime and the request flows of
 //!   Figures 1–4 — super-proxy DNS pre-check, exit selection, up-to-five
-//!   retries with per-attempt debug records, remote DNS with hijack
-//!   semantics, in-path response modification, CONNECT-to-443 tunnels with
-//!   TLS interception, and monitor refetch scheduling.
+//!   retries within the 20 s request deadline with per-attempt debug
+//!   records, one fault-campaign check per exit-link delivery, remote DNS
+//!   with hijack semantics, in-path response modification, CONNECT-to-443
+//!   tunnels with TLS interception, and monitor refetch scheduling.
 //!
 //! ## The visibility boundary
 //!
@@ -35,7 +34,6 @@
 pub mod client;
 pub mod flows;
 pub mod node;
-pub mod resilience;
 pub mod servers;
 pub mod session;
 pub mod smtp_flow;
@@ -47,7 +45,6 @@ pub use client::{
 };
 pub use flows::MAX_ATTEMPTS;
 pub use node::{ExitNode, HostSoftware, NodeId, Platform, ResolverChoice, ZId};
-pub use resilience::{CircuitBreakerConfig, CircuitBreakers, RetryPolicy};
 pub use servers::{OriginSite, WebLogEntry, WebServer};
 pub use session::{SessionTable, SESSION_TTL};
 pub use smtp_flow::{MailSite, SmtpProbeResult};

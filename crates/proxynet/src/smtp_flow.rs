@@ -131,7 +131,10 @@ impl World {
                 t = t_exit + l.super_to_exit.sample(&mut rng);
                 continue;
             }
-            if matches!(self.fault.judge(&mut rng), netsim::FaultVerdict::Drop)
+            // The relay's exit link answers to the same fault campaign as
+            // GET and CONNECT; only a drop fails an SMTP attempt.
+            let verdict = self.judge_link(node_id, t_exit, &mut rng);
+            if matches!(verdict, netsim::FaultVerdict::Drop)
                 || (node.flakiness > 0.0 && rng.random_bool(node.flakiness))
             {
                 debug.attempts.push(Attempt {

@@ -7,16 +7,13 @@
 //! servers — the same visibility boundary the paper's authors had.
 
 use crate::node::{ExitNode, NodeId};
-use crate::resilience::{CircuitBreakerConfig, CircuitBreakers, RetryPolicy};
 use crate::servers::{OriginSite, WebServer};
 use crate::session::SessionTable;
 use certs::RootStore;
 use dnswire::{AuthServer, DnsName};
 use inetdb::{Asn, CountryCode, InternetRegistry, Rankings};
 use middlebox::{HtmlInjector, ImageTranscoder, MonitorEntity, NxdomainHijacker};
-use netsim::{
-    FaultCampaign, FaultInjector, PathLatencies, Scheduler, SimDuration, SimRng, SimTime, TraceLog,
-};
+use netsim::{FaultCampaign, PathLatencies, Scheduler, SimDuration, SimRng, SimTime, TraceLog};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -101,7 +98,7 @@ pub struct ShardEvidence {
 /// rankings, the node population, routing pools, resolver/middlebox/origin
 /// directories, the root store — is held behind `Arc` and **shared** between
 /// a world and its clones; only the small mutable overlay (scheduler, RNG,
-/// server logs, sessions, caches, billing, breakers) is deep-copied. A
+/// server logs, sessions, caches, billing) is deep-copied. A
 /// shard clone is therefore a handful of reference-count bumps rather than
 /// tens of millions of allocations (this removed a 1.7× *slow-down* at 8
 /// workers — see DESIGN.md's bench section). The sharing is copy-on-write:
@@ -128,11 +125,8 @@ pub struct World {
     /// perturb ids. Shared-immutable across clones.
     pub site_symbols: Arc<SymbolTable>,
     pub(crate) latencies: PathLatencies,
-    pub(crate) fault: FaultInjector,
     pub(crate) campaign: FaultCampaign,
     pub(crate) request_deadline: Option<SimDuration>,
-    pub(crate) retry_policy: RetryPolicy,
-    pub(crate) breakers: CircuitBreakers,
     pub(crate) trace: TraceLog,
 
     /// Per-node `Arc` inside a shared `Arc`: a write to one node (TLS
@@ -209,11 +203,8 @@ impl World {
             rankings: Arc::new(Rankings::new()),
             site_symbols: Arc::new(SymbolTable::new()),
             latencies: PathLatencies::default(),
-            fault: FaultInjector::none(),
             campaign: FaultCampaign::none(),
             request_deadline: Some(DEFAULT_REQUEST_DEADLINE),
-            retry_policy: RetryPolicy::none(),
-            breakers: CircuitBreakers::disabled(),
             trace: TraceLog::disabled(),
             nodes: Arc::new(Vec::new()),
             pool_by_country: Arc::new(HashMap::new()),
@@ -318,14 +309,10 @@ impl World {
         Arc::make_mut(&mut self.landing).insert(ip, hijacker);
     }
 
-    /// Replace the fault injector on the exit-node link.
-    pub fn set_fault_injector(&mut self, fault: FaultInjector) {
-        self.fault = fault;
-    }
-
-    /// Install a scripted fault campaign on the exit-node link. Evaluated
-    /// after the uniform injector on each delivery attempt; an inert
-    /// campaign (the default) draws nothing and changes nothing.
+    /// Install a scripted fault campaign on the exit-node link, judged on
+    /// every delivery attempt of a GET, a CONNECT or an SMTP relay. An
+    /// inert campaign (the default) draws nothing and changes nothing; a
+    /// uniform link injector is [`FaultCampaign::uniform`].
     pub fn set_fault_campaign(&mut self, campaign: FaultCampaign) {
         self.campaign = campaign;
     }
@@ -336,22 +323,6 @@ impl World {
     /// disables the deadline.
     pub fn set_request_deadline(&mut self, deadline: Option<SimDuration>) {
         self.request_deadline = deadline;
-    }
-
-    /// Set the retry backoff policy. The default ([`RetryPolicy::none`])
-    /// retries immediately, as the service historically did.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry_policy = policy;
-    }
-
-    /// Configure circuit breakers for exit selection (per node and/or per
-    /// ISP). Disabled by default.
-    pub fn set_circuit_breaker(
-        &mut self,
-        node_cfg: Option<CircuitBreakerConfig>,
-        isp_cfg: Option<CircuitBreakerConfig>,
-    ) {
-        self.breakers = CircuitBreakers::new(node_cfg, isp_cfg);
     }
 
     /// Replace the latency model.

@@ -50,7 +50,7 @@ pub struct QualityCounts {
     /// Probes quarantined on other integrity failures.
     pub quarantined: usize,
     /// Probes lost to other proxy failures (all retries failed, churn
-    /// mid-pair, circuit open).
+    /// mid-pair).
     pub failed: usize,
 }
 

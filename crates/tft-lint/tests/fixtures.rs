@@ -39,7 +39,7 @@ fn hashmap_in_chaos_modules_fires() {
     for (path, krate) in [
         ("crates/tft-core/src/quality.rs", "tft-core"),
         ("crates/netsim/src/campaign.rs", "netsim"),
-        ("crates/proxynet/src/resilience.rs", "proxynet"),
+        ("crates/proxynet/src/flows.rs", "proxynet"),
     ] {
         let f = SourceFile::rust(
             path,

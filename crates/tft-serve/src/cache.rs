@@ -135,20 +135,6 @@ impl<V> FifoMap<V> {
         self.map.get(key)
     }
 
-    fn get_mut(&mut self, key: &StudyKey) -> Option<&mut V> {
-        self.map.get_mut(key)
-    }
-
-    /// Drop `key` outright (integrity failure, not capacity): the entry and
-    /// its eviction slot both go.
-    fn remove(&mut self, key: &StudyKey) -> bool {
-        if self.map.remove(key).is_none() {
-            return false;
-        }
-        self.order.retain(|k| k != key);
-        true
-    }
-
     /// Insert, returning the evicted key if the tier was full. Re-inserting
     /// an existing key replaces the value but keeps its eviction position.
     fn insert(&mut self, key: StudyKey, value: V) -> Option<StudyKey> {
@@ -170,22 +156,12 @@ impl<V> FifoMap<V> {
     }
 }
 
-/// A cached rendered report plus the content digest pinned at insert time.
-/// Every read re-hashes the body against the digest — a flipped bit
-/// anywhere in the cached bytes turns the entry into a miss instead of a
-/// silently-wrong `200`.
-struct SealedReport {
-    body: Vec<u8>,
-    digest: u64,
-}
-
 /// The two-tier study cache. See the module docs for the design.
 pub struct StudyCache {
     worlds: FifoMap<World>,
-    reports: FifoMap<SealedReport>,
+    reports: FifoMap<Vec<u8>>,
     world_stats: TierStats,
     report_stats: TierStats,
-    integrity_failures: u64,
 }
 
 impl StudyCache {
@@ -200,68 +176,24 @@ impl StudyCache {
             reports: FifoMap::new(report_capacity),
             world_stats: TierStats::default(),
             report_stats: TierStats::default(),
-            integrity_failures: 0,
         }
     }
 
-    /// Verify `key`'s sealed digest; on mismatch expel the entry and count
-    /// an integrity failure. Returns whether a *valid* entry remains.
-    fn expel_if_corrupt(&mut self, key: &StudyKey) -> bool {
-        match self.reports.get(key) {
-            None => false,
-            Some(sealed) if stable64(&sealed.body) == sealed.digest => true,
-            Some(_) => {
-                self.reports.remove(key);
-                self.integrity_failures += 1;
-                false
-            }
-        }
-    }
-
-    /// Tier-2 lookup: the rendered body of a completed study. The body is
-    /// re-hashed against the digest sealed at insert; a corrupted entry is
-    /// expelled and reported as a miss — it is never returned.
+    /// Tier-2 lookup: the rendered body of a completed study.
     pub fn report(&mut self, key: &StudyKey) -> Option<&Vec<u8>> {
-        let valid = self.expel_if_corrupt(key);
-        if valid {
+        let body = self.reports.get(key);
+        if body.is_some() {
             self.report_stats.hits += 1;
         } else {
             self.report_stats.misses += 1;
         }
-        if valid {
-            self.reports.get(key).map(|sealed| &sealed.body)
-        } else {
-            None
-        }
+        body
     }
 
     /// Tier-2 lookup without touching the hit/miss counters (for re-reads
-    /// of a body already accounted for). Integrity is still verified —
-    /// corrupt entries are expelled, counted, and reported as absent.
-    pub fn peek_report(&mut self, key: &StudyKey) -> Option<&Vec<u8>> {
-        if !self.expel_if_corrupt(key) {
-            return None;
-        }
-        self.reports.get(key).map(|sealed| &sealed.body)
-    }
-
-    /// Test/chaos seam: flip one byte of `key`'s cached body *without*
-    /// updating its sealed digest, simulating storage corruption. Returns
-    /// false if the key has no entry or an empty body.
-    pub fn corrupt_report(&mut self, key: &StudyKey) -> bool {
-        match self.reports.get_mut(key).and_then(|s| s.body.first_mut()) {
-            Some(byte) => {
-                *byte ^= 0x01;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Cached report bodies that failed digest verification and were
-    /// expelled (each counted once, at detection).
-    pub fn integrity_failures(&self) -> u64 {
-        self.integrity_failures
+    /// of a body already accounted for).
+    pub fn peek_report(&self, key: &StudyKey) -> Option<&Vec<u8>> {
+        self.reports.get(key)
     }
 
     /// Tier-1 lookup: a clone of the pristine world, ready to execute.
@@ -275,15 +207,9 @@ impl StudyCache {
         hit
     }
 
-    /// Store a completed study's rendered body, sealing its content digest
-    /// for verification on every later read.
+    /// Store a completed study's rendered body.
     pub fn insert_report(&mut self, key: StudyKey, body: Vec<u8>) {
-        let digest = stable64(&body);
-        if self
-            .reports
-            .insert(key, SealedReport { body, digest })
-            .is_some()
-        {
+        if self.reports.insert(key, body).is_some() {
             self.report_stats.evictions += 1;
         }
     }
@@ -415,27 +341,6 @@ mod tests {
             "key(1) still oldest despite reinsert"
         );
         assert_eq!(cache.peek_report(&key(2)), Some(&vec![2]));
-    }
-
-    #[test]
-    fn corrupted_report_is_never_served_and_counts_once() {
-        let mut cache = StudyCache::new(2, 2);
-        cache.insert_report(key(1), b"rendered report".to_vec());
-        assert!(cache.corrupt_report(&key(1)), "seam flips a byte");
-        // The corrupted body is expelled, not returned — on counted and
-        // uncounted paths alike.
-        assert_eq!(cache.report(&key(1)), None);
-        assert_eq!(cache.peek_report(&key(1)), None);
-        assert_eq!(cache.integrity_failures(), 1, "detected exactly once");
-        assert_eq!(cache.report_stats().hits, 0);
-        // Reinsertion heals: the fresh body verifies again.
-        cache.insert_report(key(1), b"rendered report".to_vec());
-        assert_eq!(cache.report(&key(1)), Some(&b"rendered report".to_vec()));
-        // Expulsion freed the eviction slot too: two more inserts fit
-        // without evicting the healed entry's neighbour.
-        cache.insert_report(key(2), vec![2]);
-        assert!(cache.peek_report(&key(1)).is_some());
-        assert!(cache.peek_report(&key(2)).is_some());
     }
 
     #[test]

@@ -52,11 +52,6 @@ pub struct GatewayConfig {
     pub world_cache: usize,
     /// Tier-2 capacity (rendered reports).
     pub report_cache: usize,
-    /// Per-study virtual deadline, measured from admission. A study whose
-    /// next stage would complete past the deadline is cancelled: its slot
-    /// frees, its partial output is discarded, and `GET` answers `504` —
-    /// never a partial or stale body. `None` (the default) disables it.
-    pub study_deadline: Option<SimDuration>,
 }
 
 impl Default for GatewayConfig {
@@ -66,7 +61,6 @@ impl Default for GatewayConfig {
             queue_depth: 8,
             world_cache: 8,
             report_cache: 8,
-            study_deadline: None,
         }
     }
 }
@@ -123,11 +117,6 @@ pub struct GatewayStats {
     pub worlds_built: u64,
     /// Studies actually executed end to end (tier-2 misses that did the work).
     pub studies_executed: u64,
-    /// Studies cancelled for exceeding the per-study deadline.
-    pub deadline_cancelled: u64,
-    /// Cached report bodies that failed digest verification (expelled,
-    /// re-executed on resubmission, never served).
-    pub integrity_failures: u64,
 }
 
 /// One queued-or-running study.
@@ -138,8 +127,6 @@ struct Job {
     pending: VecDeque<SimTime>,
     /// Populated by the build step, taken when the last stage completes.
     driver: Option<StudyDriver>,
-    /// Virtual cancellation time, from admission + `study_deadline`.
-    deadline: Option<SimTime>,
     /// Chunk-framed body emitted so far (what an incremental GET serves).
     wire: Vec<u8>,
     /// Plain body emitted so far (what the cache stores at completion).
@@ -155,7 +142,6 @@ pub struct Gateway {
     active: BoundedFifo<StudyKey>,
     jobs: BTreeMap<StudyKey, Job>,
     finished: BTreeMap<StudyKey, SimTime>,
-    cancelled: BTreeMap<StudyKey, SimTime>,
     clock: SimTime,
     busy_until: SimTime,
     stats: GatewayStats,
@@ -169,7 +155,6 @@ impl Gateway {
             active: BoundedFifo::new(cfg.queue_depth),
             jobs: BTreeMap::new(),
             finished: BTreeMap::new(),
-            cancelled: BTreeMap::new(),
             clock: SimTime::EPOCH,
             busy_until: SimTime::EPOCH,
             stats: GatewayStats::default(),
@@ -197,13 +182,6 @@ impl Gateway {
             _ => self.route_not_found(),
         };
         response.encode()
-    }
-
-    /// Test/chaos seam: corrupt `key`'s cached report body in place (its
-    /// sealed digest is left stale, so the next read detects and expels
-    /// it). Returns false if nothing is cached under `key`.
-    pub fn corrupt_cached_report(&mut self, key: &StudyKey) -> bool {
-        self.cache.corrupt_report(key)
     }
 
     /// `GET /healthz`: liveness plus the counters an operator pages on,
@@ -245,18 +223,7 @@ impl Gateway {
                     ("rejected".to_string(), Json::uint(stats.rejected)),
                     ("invalid".to_string(), Json::uint(stats.invalid)),
                     ("executed".to_string(), Json::uint(stats.studies_executed)),
-                    (
-                        "deadline_cancelled".to_string(),
-                        Json::uint(stats.deadline_cancelled),
-                    ),
                 ]),
-            ),
-            (
-                "recovery".to_string(),
-                Json::Obj(vec![(
-                    "integrity_failures".to_string(),
-                    Json::uint(stats.integrity_failures),
-                )]),
             ),
             (
                 "cache".to_string(),
@@ -333,14 +300,12 @@ impl Gateway {
             pending.push_back(t);
         }
         self.busy_until = t;
-        self.cancelled.remove(&key); // resubmission of a cancelled study starts clean
         self.jobs.insert(
             key,
             Job {
                 spec,
                 pending,
                 driver: None,
-                deadline: self.cfg.study_deadline.map(|d| self.clock + d),
                 wire: Vec::new(),
                 body: Vec::new(),
                 enc: chunked::Encoder::new(),
@@ -369,16 +334,6 @@ impl Gateway {
             self.stats.not_found += 1;
             return plain(StatusCode::NOT_FOUND, "malformed study id\n");
         };
-        if let Some(at) = self.cancelled.get(&key) {
-            // Terminal and honest: the partial output was discarded with
-            // the job; a deadline overrun never serves half a study.
-            let mut resp = plain(
-                StatusCode::GATEWAY_TIMEOUT,
-                &format!("study cancelled at {at}: exceeded deadline; resubmit to retry\n"),
-            );
-            resp.headers.set("X-Study-Id", id);
-            return resp;
-        }
         if let Some(job) = self.jobs.get(&key) {
             let mut wire = job.wire.clone();
             wire.extend_from_slice(b"0\r\n\r\n");
@@ -397,10 +352,8 @@ impl Gateway {
         }
         self.stats.not_found += 1;
         if self.finished.contains_key(&key) {
-            // The study ran, but its cached body is gone — evicted, or
-            // expelled after failing digest verification. Either way the
-            // client gets an honest 404, never corrupt bytes; a POST of the
-            // same spec re-executes.
+            // The study ran, but its cached body was evicted: the client
+            // gets an honest 404, and a POST of the same spec re-executes.
             return plain(StatusCode::NOT_FOUND, "study result lost; resubmit\n");
         }
         plain(StatusCode::NOT_FOUND, "unknown study\n")
@@ -421,7 +374,7 @@ impl Gateway {
                 continue;
             };
             while let Some(&end) = job.pending.front() {
-                if end > self.clock || job.deadline.is_some_and(|d| end > d) {
+                if end > self.clock {
                     break;
                 }
                 job.pending.pop_front();
@@ -460,28 +413,11 @@ impl Gateway {
                 self.cache.insert_report(key, job.body.clone());
                 self.finished.insert(key, end);
             }
-            let Some(job) = self.jobs.get(&key) else {
-                self.active.pop();
-                continue;
-            };
-            if job.pending.is_empty() {
-                self.jobs.remove(&key);
-                self.active.pop();
-            } else if job.deadline.is_some_and(|d| self.clock >= d) {
-                // Deadline passed with work remaining: cancel. The job and
-                // its partial output are discarded whole — a GET answers
-                // 504, never a truncated body — and the slot frees for the
-                // next admission. (The virtual server stays reserved as
-                // scheduled; cancellation sheds the study, it does not
-                // reflow the timetable.)
-                let deadline = job.deadline.unwrap_or(self.clock);
-                self.jobs.remove(&key);
-                self.active.pop();
-                self.cancelled.insert(key, deadline);
-                self.stats.deadline_cancelled += 1;
-            } else {
+            if !job.pending.is_empty() {
                 break;
             }
+            self.jobs.remove(&key);
+            self.active.pop();
         }
     }
 
@@ -495,12 +431,9 @@ impl Gateway {
         backlog.as_millis().div_ceil(1000).max(1)
     }
 
-    /// Request counters. `integrity_failures` is synced from the cache at
-    /// read time so the snapshot is always current.
+    /// Request counters.
     pub fn stats(&self) -> GatewayStats {
-        let mut stats = self.stats;
-        stats.integrity_failures = self.cache.integrity_failures();
-        stats
+        self.stats
     }
 
     /// Cache counters, `(tier-1 worlds, tier-2 reports)`.
@@ -695,29 +628,38 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_cached_report_is_never_served_and_reexecutes() {
-        let mut gw = Gateway::new(GatewayConfig::default());
-        let spec = worldgen::smoke_spec(5);
-        let key = StudyKey::for_spec(&spec);
-        let id = key.study_id();
-        let get = Request::origin_get("gateway", &format!("/studies/{id}")).encode();
+    fn evicted_report_answers_404_and_reexecutes_on_resubmit() {
+        let mut gw = Gateway::new(GatewayConfig {
+            report_cache: 1,
+            ..GatewayConfig::default()
+        });
+        let first = worldgen::smoke_spec(5);
+        let second = worldgen::smoke_spec(6);
+        let get = |spec: &WorldSpec| {
+            let id = StudyKey::for_spec(spec).study_id();
+            Request::origin_get("gateway", &format!("/studies/{id}")).encode()
+        };
 
-        gw.handle(&post_spec(&spec), SimTime::EPOCH);
-        let done = parse(&gw.handle(&get, SimTime::from_millis(10_000)));
+        gw.handle(&post_spec(&first), SimTime::EPOCH);
+        let done = parse(&gw.handle(&get(&first), SimTime::from_millis(10_000)));
         assert_eq!(done.headers.get("X-Study-Complete"), Some("true"));
 
-        assert!(gw.corrupt_cached_report(&key), "seam flips a cached byte");
-        // The corrupt body is detected, expelled, and never served.
-        let lost = parse(&gw.handle(&get, SimTime::from_millis(10_001)));
+        // The second study's report takes the only slot, evicting the first.
+        gw.handle(&post_spec(&second), SimTime::from_millis(10_001));
+        let other = parse(&gw.handle(&get(&second), SimTime::from_millis(20_000)));
+        assert_eq!(other.headers.get("X-Study-Complete"), Some("true"));
+        assert_eq!(gw.cache_stats().1.evictions, 1);
+
+        let lost = parse(&gw.handle(&get(&first), SimTime::from_millis(20_001)));
         assert_eq!(lost.status, StatusCode::NOT_FOUND);
-        assert!(String::from_utf8_lossy(&lost.body).contains("result lost"));
-        assert_eq!(gw.stats().integrity_failures, 1);
+        assert!(String::from_utf8_lossy(&lost.body).contains("result lost; resubmit"));
 
         // A resubmission is a miss: the study re-executes from scratch and
-        // serves the same bytes as before the corruption.
-        let resub = parse(&gw.handle(&post_spec(&spec), SimTime::from_millis(10_002)));
+        // serves the same report as before the eviction.
+        let resub = parse(&gw.handle(&post_spec(&first), SimTime::from_millis(20_002)));
         assert_eq!(resub.status, StatusCode::ACCEPTED);
-        let again = parse(&gw.handle(&get, SimTime::from_millis(30_000)));
+        assert_eq!(resub.headers.get("X-Cache"), Some("miss"));
+        let again = parse(&gw.handle(&get(&first), SimTime::from_millis(40_000)));
         assert_eq!(again.headers.get("X-Study-Complete"), Some("true"));
         // Stage headers carry virtual completion times, which legitimately
         // differ across executions; the report itself must be identical.
@@ -731,42 +673,11 @@ mod tests {
             report_of(&done.body),
             "re-executed study must render the same report"
         );
-        assert_eq!(gw.stats().studies_executed, 2);
+        assert_eq!(gw.stats().studies_executed, 3);
     }
 
     #[test]
-    fn deadline_cancels_with_504_and_discards_partial_output() {
-        let mut gw = Gateway::new(GatewayConfig {
-            study_deadline: Some(SimDuration::from_millis(2_000)),
-            ..GatewayConfig::default()
-        });
-        let spec = worldgen::smoke_spec(5);
-        let id = StudyKey::for_spec(&spec).study_id();
-        let get = Request::origin_get("gateway", &format!("/studies/{id}")).encode();
-        gw.handle(&post_spec(&spec), SimTime::EPOCH);
-
-        // Deadline 2000ms admits the build (400) and DNS (1900) but not
-        // HTTP (3100): past the deadline the study cancels whole.
-        let resp = parse(&gw.handle(&get, SimTime::from_millis(5_000)));
-        assert_eq!(resp.status, StatusCode::GATEWAY_TIMEOUT);
-        let text = String::from_utf8_lossy(&resp.body).to_string();
-        assert!(text.contains("exceeded deadline"), "honest 504: {text}");
-        assert!(
-            !text.contains("stage"),
-            "no partial stage output may leak: {text}"
-        );
-        let stats = gw.stats();
-        assert_eq!(stats.deadline_cancelled, 1);
-        assert_eq!(stats.studies_executed, 0);
-
-        // The slot freed: resubmission is admitted, not joined or rejected.
-        let resub = parse(&gw.handle(&post_spec(&spec), SimTime::from_millis(5_001)));
-        assert_eq!(resub.status, StatusCode::ACCEPTED);
-        assert_eq!(resub.headers.get("X-Cache"), Some("miss"));
-    }
-
-    #[test]
-    fn healthz_reports_shed_and_recovery_counters() {
+    fn healthz_reports_shed_and_cache_counters() {
         let mut gw = Gateway::new(GatewayConfig {
             queue_depth: 1,
             ..GatewayConfig::default()
@@ -784,20 +695,31 @@ mod tests {
         let queue = doc.get("queue").expect("queue section");
         assert_eq!(queue.get("shed").and_then(|v| v.as_u64()), Some(1));
         assert_eq!(queue.get("len").and_then(|v| v.as_u64()), Some(1));
-        let recovery = doc.get("recovery").expect("recovery section");
-        assert_eq!(
-            recovery.get("integrity_failures").and_then(|v| v.as_u64()),
-            Some(0)
-        );
-        // The gateway's one recovery path is 404-and-resubmit after a failed
-        // digest check, so the section carries that one counter.
-        let keys: Vec<&str> = recovery
+        let studies = doc.get("studies").expect("studies section");
+        assert_eq!(studies.get("accepted").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(studies.get("rejected").and_then(|v| v.as_u64()), Some(1));
+        let reports = doc
+            .get("cache")
+            .and_then(|c| c.get("reports"))
+            .expect("report tier section");
+        assert_eq!(reports.get("misses").and_then(|v| v.as_u64()), Some(2));
+        let sections: Vec<&str> = doc
             .as_obj()
-            .expect("recovery is an object")
+            .expect("healthz is an object")
             .iter()
             .map(|(k, _)| k.as_str())
             .collect();
-        assert_eq!(keys, ["integrity_failures"]);
+        assert_eq!(
+            sections,
+            [
+                "status",
+                "virtual_now_ms",
+                "busy_until_ms",
+                "queue",
+                "studies",
+                "cache"
+            ]
+        );
         // /healthz is not a study route: it must not count as a 404.
         assert_eq!(gw.stats().not_found, 0);
     }

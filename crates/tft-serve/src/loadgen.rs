@@ -11,17 +11,16 @@
 //! The entire request trace — arrival times, spec choices, poll and retry
 //! schedules — is a pure function of the config, and the gateway itself is
 //! deterministic, so the concatenated responses digest to the same 64-bit
-//! value at any worker count. `BENCH_serve.json` and the workspace e2e
-//! test both pin that digest across workers 1/2/8.
+//! value at any worker count. The workspace e2e test
+//! (`tests/serve_gateway.rs`) pins that digest across workers 1/2/8.
 
-use crate::cache::{StudyKey, TierStats};
+use crate::cache::StudyKey;
 use crate::gateway::{Gateway, GatewayConfig, GatewayStats};
 use httpwire::{Request, Response};
 use netsim::rng::RngExt;
 use netsim::{SimDuration, SimRng, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
-use substrate::json::{Json, ToJson};
 use substrate::Hasher64;
 use worldgen::WorldSpec;
 
@@ -44,34 +43,11 @@ pub struct LoadGenConfig {
     pub gateway: GatewayConfig,
 }
 
-impl LoadGenConfig {
-    /// A CI-sized run: thousands of requests, a handful of real
-    /// executions.
-    pub fn quick(workers: usize, seed: u64) -> LoadGenConfig {
-        LoadGenConfig {
-            seed,
-            clients: 2_000,
-            window: SimDuration::from_secs(120),
-            hot_specs: 2,
-            cold_specs: 2,
-            hot_fraction: 0.9,
-            gateway: GatewayConfig {
-                workers,
-                ..GatewayConfig::default()
-            },
-        }
-    }
-}
-
 /// What a load run measured.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Total HTTP requests issued.
     pub requests: u64,
-    /// `POST /studies` requests.
-    pub posts: u64,
-    /// `GET /studies/{id}` requests.
-    pub gets: u64,
     /// Stable digest over every response, in trace order. Equal digests ⇒
     /// byte-identical responses.
     pub response_digest: u64,
@@ -79,45 +55,8 @@ pub struct LoadReport {
     /// submissions are charged submission→completion; immediately-answered
     /// requests (hits, polls, rejections) are charged 1 ms.
     pub p95_latency_ms: u64,
-    /// Mean over the same latencies.
-    pub mean_latency_ms: f64,
-    /// Tier-2 hit rate over POST admissions.
-    pub cache_hit_rate: f64,
     /// Gateway request counters.
     pub stats: GatewayStats,
-    /// Tier-1 (world) cache counters.
-    pub world_cache: TierStats,
-    /// Tier-2 (report) cache counters.
-    pub report_cache: TierStats,
-    /// Virtual time of the last trace event.
-    pub virtual_end_ms: u64,
-}
-
-impl ToJson for LoadReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("requests".into(), Json::uint(self.requests)),
-            ("posts".into(), Json::uint(self.posts)),
-            ("gets".into(), Json::uint(self.gets)),
-            (
-                "response_digest".into(),
-                Json::str(format!("{:016x}", self.response_digest)),
-            ),
-            ("p95_latency_ms".into(), Json::uint(self.p95_latency_ms)),
-            ("mean_latency_ms".into(), Json::float(self.mean_latency_ms)),
-            ("cache_hit_rate".into(), Json::float(self.cache_hit_rate)),
-            ("accepted".into(), Json::uint(self.stats.accepted)),
-            ("joined".into(), Json::uint(self.stats.joined)),
-            ("cache_hits".into(), Json::uint(self.stats.cache_hits)),
-            ("rejected".into(), Json::uint(self.stats.rejected)),
-            (
-                "studies_executed".into(),
-                Json::uint(self.stats.studies_executed),
-            ),
-            ("worlds_built".into(), Json::uint(self.stats.worlds_built)),
-            ("virtual_end_ms".into(), Json::uint(self.virtual_end_ms)),
-        ])
-    }
 }
 
 /// Offsets (from submission) at which an accepted client polls its study.
@@ -177,8 +116,7 @@ pub fn run(cfg: &LoadGenConfig) -> LoadReport {
     let mut gw = Gateway::new(cfg.gateway.clone());
     let mut digest = Hasher64::new();
     let mut seq = cfg.clients as u64;
-    let mut posts = 0u64;
-    let mut gets = 0u64;
+    let mut requests = 0u64;
     // (arrival, key index) of every accepted/joined POST, for latency.
     let mut awaiting: Vec<(u64, usize)> = Vec::new();
     let mut immediate = 0u64; // requests answered on the spot (1 ms each)
@@ -190,7 +128,7 @@ pub fn run(cfg: &LoadGenConfig) -> LoadReport {
         let now = SimTime::from_millis(ev.time_ms);
         match ev.kind {
             Kind::Post { spec, attempt } => {
-                posts += 1;
+                requests += 1;
                 // tft-lint: allow(no-panic-on-untrusted-bytes, reason = "spec is an index the generator itself enqueued into 0..wires.len(); no external input involved")
                 let raw = gw.handle(&post_wires[spec], now);
                 absorb(&mut digest, &raw);
@@ -231,7 +169,7 @@ pub fn run(cfg: &LoadGenConfig) -> LoadReport {
                 }
             }
             Kind::Get { spec } => {
-                gets += 1;
+                requests += 1;
                 // tft-lint: allow(no-panic-on-untrusted-bytes, reason = "spec is an index the generator itself enqueued into 0..wires.len(); no external input involved")
                 let raw = gw.handle(&get_wires[spec], now);
                 absorb(&mut digest, &raw);
@@ -243,9 +181,8 @@ pub fn run(cfg: &LoadGenConfig) -> LoadReport {
     // Drain: step past the backlog and fetch every submitted study's final
     // body, so completed tables/annexes enter the digest.
     let drain_ms = last_ms.max(gw.busy_until().as_millis()) + 1_000;
-    last_ms = drain_ms;
     for &spec in &submitted {
-        gets += 1;
+        requests += 1;
         // tft-lint: allow(no-panic-on-untrusted-bytes, reason = "spec is an index the generator itself enqueued into 0..wires.len(); no external input involved")
         let raw = gw.handle(&get_wires[spec], SimTime::from_millis(drain_ms));
         absorb(&mut digest, &raw);
@@ -268,20 +205,11 @@ pub fn run(cfg: &LoadGenConfig) -> LoadReport {
     latencies.extend(std::iter::repeat_n(1u64, immediate as usize));
     latencies.sort_unstable();
 
-    let stats = gw.stats();
-    let (world_cache, report_cache) = gw.cache_stats();
     LoadReport {
-        requests: posts + gets,
-        posts,
-        gets,
+        requests,
         response_digest: digest.finish(),
         p95_latency_ms: percentile(&latencies, 0.95),
-        mean_latency_ms: latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64,
-        cache_hit_rate: report_cache.hit_rate(),
-        stats,
-        world_cache,
-        report_cache,
-        virtual_end_ms: last_ms,
+        stats: gw.stats(),
     }
 }
 
@@ -353,19 +281,5 @@ mod tests {
             r.stats.studies_executed <= 2,
             "at most one execution per distinct spec: {r:?}"
         );
-        assert!(r.cache_hit_rate > 0.0);
-        assert_eq!(r.requests, r.posts + r.gets);
-    }
-
-    #[test]
-    fn report_renders_as_json() {
-        let r = run(&tiny(1));
-        let doc = r.to_json().render();
-        let back = substrate::json::parse(&doc).expect("report JSON parses");
-        assert_eq!(
-            back.get("requests").and_then(Json::as_u64),
-            Some(r.requests)
-        );
-        assert!(back.get("cache_hit_rate").is_some());
     }
 }

@@ -2,7 +2,7 @@
 //! methodology degrade in the predicted way. These pin down *why* each
 //! mechanism exists.
 
-use tft::netsim::{FaultInjector, SimDuration};
+use tft::netsim::{FaultCampaign, FaultInjector, SimDuration};
 use tft::prelude::*;
 use tft::tft_core::dns_exp::{self, DnsExpOptions};
 use tft::tft_core::obs::DnsOutcome;
@@ -43,7 +43,9 @@ fn ablation_session_stickiness() {
 fn ablation_retries_under_loss() {
     let run = |attempts: usize| -> f64 {
         let mut built = small_world(12);
-        built.world.set_fault_injector(FaultInjector::lossy(0.20));
+        built
+            .world
+            .set_fault_campaign(FaultCampaign::uniform(FaultInjector::lossy(0.20)));
         built.world.set_max_attempts(attempts);
         let apex = built.world.auth_apex().clone();
         let host = apex.child("retry-ablation").expect("valid").to_string();

@@ -8,9 +8,9 @@
 
 use std::sync::OnceLock;
 
-use tft::netsim::{FaultCampaign, FaultInjector, SimDuration};
+use tft::netsim::{FaultCampaign, FaultInjector};
 use tft::prelude::*;
-use tft::proxynet::{AttemptOutcome, CircuitBreakerConfig, RetryPolicy, DEFAULT_REQUEST_DEADLINE};
+use tft::proxynet::{AttemptOutcome, DEFAULT_REQUEST_DEADLINE};
 use tft::tft_core::obs::DnsOutcome;
 use tft::worldgen::{chaos_corruption_spec, smoke_spec};
 
@@ -187,94 +187,4 @@ fn stalls_burn_the_request_deadline() {
     }
     // The stalled wait consumed the whole 20 s budget in virtual time.
     assert!(built.world.now() >= before + DEFAULT_REQUEST_DEADLINE);
-}
-
-#[test]
-fn circuit_breakers_fail_fast_after_an_outage() {
-    let mut built = build(&smoke_spec(0xB4EA));
-    let host = register_probe_host(&mut built.world, "breaker-probe");
-    let ids: Vec<_> = built.world.node_ids().collect();
-    for id in ids {
-        built.world.node_mut(id).online = false;
-    }
-    // Per-ISP breakers: the smoke world has only a handful of ASes, so one
-    // failed request trips them all and subsequent picks are skipped.
-    built.world.set_circuit_breaker(
-        None,
-        Some(CircuitBreakerConfig {
-            failure_threshold: 1,
-            cooldown: SimDuration::from_secs(3_600),
-        }),
-    );
-
-    // First request exhausts its retries against offline nodes, tripping
-    // one breaker per attempt.
-    let opts = UsernameOptions::new("chaos-test").session(2);
-    match built.world.proxy_get(&opts, &Uri::http(&host, "/")) {
-        Err(ProxyError::AllRetriesFailed(debug)) => {
-            // The breaker trips mid-request: the first pick fails offline,
-            // later picks from the same AS may already be skipped.
-            assert!(debug.attempts.iter().all(|a| matches!(
-                a.outcome,
-                AttemptOutcome::Offline | AttemptOutcome::CircuitOpen
-            )));
-            assert!(debug
-                .attempts
-                .iter()
-                .any(|a| a.outcome == AttemptOutcome::Offline));
-        }
-        other => panic!("expected AllRetriesFailed, got {other:?}"),
-    }
-
-    // Keep hammering: once every candidate the picker offers sits behind
-    // an open circuit, the request fails fast without touching the link.
-    let mut saw_fast_failure = false;
-    for session in 3..40 {
-        let opts = UsernameOptions::new("chaos-test").session(session);
-        match built.world.proxy_get(&opts, &Uri::http(&host, "/")) {
-            Err(ProxyError::CircuitOpen(debug)) => {
-                assert!(debug
-                    .attempts
-                    .iter()
-                    .all(|a| a.outcome == AttemptOutcome::CircuitOpen));
-                saw_fast_failure = true;
-                break;
-            }
-            Err(ProxyError::AllRetriesFailed(_)) => continue,
-            other => panic!("expected a failure, got {other:?}"),
-        }
-    }
-    assert!(saw_fast_failure, "breakers never produced a fast failure");
-}
-
-#[test]
-fn retry_backoff_stretches_virtual_time() {
-    let mut built = build(&smoke_spec(0xBACC));
-    let host = register_probe_host(&mut built.world, "backoff-probe");
-    built
-        .world
-        .set_fault_campaign(FaultCampaign::uniform(FaultInjector::lossy(1.0)));
-    built.world.set_request_deadline(None);
-    built.world.set_retry_policy(RetryPolicy::exponential(
-        SimDuration::from_secs(1),
-        SimDuration::from_secs(8),
-    ));
-
-    let before = built.world.now();
-    let opts = UsernameOptions::new("chaos-test").session(50);
-    match built.world.proxy_get(&opts, &Uri::http(&host, "/")) {
-        Err(ProxyError::AllRetriesFailed(debug)) => {
-            let failed = debug.attempts.len();
-            assert!(failed >= 2, "total loss must exhaust retries");
-            // Backoff sleeps at least base * 2^n before retry n+1; with
-            // every attempt dropped the request stretches virtual time by
-            // at least the sum of the floors.
-            let floor: u64 = (0..failed as u32).map(|n| (1u64 << n).min(8)).sum();
-            assert!(
-                built.world.now() >= before + SimDuration::from_secs(floor),
-                "backoff added less than its deterministic floor"
-            );
-        }
-        other => panic!("expected AllRetriesFailed under total loss, got {other:?}"),
-    }
 }

@@ -58,27 +58,13 @@ fn worker_count_never_changes_output() {
 }
 
 /// Chaos does not erode determinism: a scripted fault campaign (regional
-/// outage + flapping ISP + global noise), retry backoff, and circuit
-/// breakers all replay byte-identically at any worker count — tables,
-/// data-quality annex, billing, and server logs included.
+/// outage + flapping ISP + global noise) replays byte-identically at any
+/// worker count — tables, data-quality annex, billing, and server logs
+/// included.
 #[test]
 fn chaos_campaign_replays_identically_across_worker_counts() {
-    use tft::netsim::SimDuration;
-    use tft::proxynet::{CircuitBreakerConfig, RetryPolicy};
-
     let run_with_workers = |workers: usize| {
         let mut built = build(&worldgen::chaos_campaign_spec(0.004, 0xCA05));
-        built.world.set_retry_policy(RetryPolicy::exponential(
-            SimDuration::from_millis(250),
-            SimDuration::from_secs(4),
-        ));
-        built.world.set_circuit_breaker(
-            Some(CircuitBreakerConfig {
-                failure_threshold: 5,
-                cooldown: SimDuration::from_secs(60),
-            }),
-            None,
-        );
         let cfg = StudyConfig::scaled(0.004);
         let report = run_study_with(&mut built.world, &cfg, &ExecOptions::with_workers(workers));
         (

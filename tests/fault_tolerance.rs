@@ -2,7 +2,7 @@
 //! and packet loss exercise the super proxy's retry machinery (the debug
 //! headers are what keep the methodology sound under churn).
 
-use tft::netsim::FaultInjector;
+use tft::netsim::{FaultCampaign, FaultInjector};
 use tft::prelude::*;
 use tft::proxynet::AttemptOutcome;
 use tft::worldgen::spec::*;
@@ -36,7 +36,9 @@ fn lossy_spec() -> WorldSpec {
 fn study_completes_under_heavy_loss() {
     let mut built = build(&lossy_spec());
     // smoltcp's suggested starting point: 15% drop chance on the link.
-    built.world.set_fault_injector(FaultInjector::lossy(0.15));
+    built
+        .world
+        .set_fault_campaign(FaultCampaign::uniform(FaultInjector::lossy(0.15)));
     let cfg = StudyConfig {
         min_nodes_per_country: 5,
         min_nodes_per_dns_server: 3,
@@ -60,7 +62,9 @@ fn study_completes_under_heavy_loss() {
 #[test]
 fn retries_show_up_in_debug_headers() {
     let mut built = build(&lossy_spec());
-    built.world.set_fault_injector(FaultInjector::lossy(0.35));
+    built
+        .world
+        .set_fault_campaign(FaultCampaign::uniform(FaultInjector::lossy(0.35)));
     let apex = built.world.auth_apex().clone();
     let host = apex.child("retry-probe").expect("valid").to_string();
     let web_ip = built.world.web_ip();

@@ -116,3 +116,41 @@ fn render_mentions_stripping_ases() {
     assert!(text.contains("STARTTLS stripping"));
     assert!(text.contains("Globe Telecom"));
 }
+
+/// A relay's exit link answers to the world's fault campaign, the same
+/// check a proxied GET or CONNECT makes: under a global outage every relay
+/// fails, each attempt dropped on the link or refused by an offline node.
+#[test]
+fn outage_campaign_fails_every_relay() {
+    use tft::netsim::{FaultCampaign, FaultProfile, FaultRule, FaultScope};
+    use tft::proxynet::AttemptOutcome;
+
+    let mut built = build(&worldgen::smoke_spec(0x5A7F));
+    built
+        .world
+        .set_fault_campaign(FaultCampaign::none().with_rule(FaultRule {
+            scope: FaultScope::all(),
+            window: None,
+            profile: FaultProfile::Outage,
+        }));
+    let host = built
+        .world
+        .mail_hosts()
+        .min()
+        .expect("the smoke world runs mail servers")
+        .to_string();
+    let target = built.world.mail_site_address(&host).expect("registered");
+    for session in 0..20 {
+        let opts = UsernameOptions::new("smtp-outage").session(session);
+        match built.world.vpn_relay_smtp(&opts, target) {
+            Err(ProxyError::AllRetriesFailed(debug)) => {
+                assert!(!debug.attempts.is_empty());
+                assert!(debug.attempts.iter().all(|a| matches!(
+                    a.outcome,
+                    AttemptOutcome::Flaked | AttemptOutcome::Offline
+                )));
+            }
+            other => panic!("relay {session} got through a global outage: {other:?}"),
+        }
+    }
+}
