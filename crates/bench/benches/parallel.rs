@@ -19,7 +19,9 @@
 //! (`alloc_events_workers{N}`), which doubles as evidence that the work
 //! itself is worker-count-invariant — pool-internal setup is excluded
 //! from the window via the `substrate::pool` setup observer, so the
-//! totals do not drift with the worker knob.
+//! totals do not drift with the worker knob. One more accounting run
+//! steps a `StudyDriver` at workers 1 and records each experiment's own
+//! figure (`allocs_per_probe_{dns,http,https,monitor}`).
 
 #[path = "alloc_stats/mod.rs"]
 mod alloc_stats;
@@ -27,7 +29,7 @@ mod alloc_stats;
 use std::hint::black_box;
 use substrate::bench::Harness;
 use substrate::json::Json;
-use tft_core::{run_study_with, ExecOptions, StudyConfig, StudyReport};
+use tft_core::{run_study_with, ExecOptions, StudyConfig, StudyDriver, StudyReport, StudyStage};
 
 #[global_allocator]
 static GLOBAL: alloc_stats::CountingAlloc = alloc_stats::CountingAlloc;
@@ -89,6 +91,34 @@ fn main() {
                 h.note("allocs_per_probe", Json::float(per_probe));
                 eprintln!("[parallel] {allocs} allocation events / {probes} probes = {per_probe:.1} allocs/probe");
             }
+        }
+    }
+    // Per-experiment accounting: a driver stepped one stage per wave at
+    // workers 1, each experiment's wave counted apart, so a regression in
+    // allocs/probe names its experiment.
+    let mut driver = StudyDriver::new(pristine.clone(), cfg.clone(), &ExecOptions::with_workers(1));
+    let mut stage_events = Vec::new();
+    while !driver.is_done() {
+        alloc_stats::reset();
+        alloc_stats::counting_on();
+        let stage = driver.step();
+        alloc_stats::counting_off();
+        stage_events.push((stage, alloc_stats::total_events()));
+    }
+    let report = driver.report().expect("a finished driver has its report");
+    for (stage, allocs) in stage_events {
+        let probes = match stage {
+            StudyStage::Dns => report.dns_data.samples_issued,
+            StudyStage::Http => report.http_data.samples_issued,
+            StudyStage::Https => report.https_data.samples_issued,
+            StudyStage::Monitor => report.monitor_data.samples_issued,
+            StudyStage::Analyze | StudyStage::Done => continue,
+        };
+        if probes > 0 {
+            let per_probe = allocs as f64 / probes as f64;
+            let label = stage.label();
+            h.note(&format!("allocs_per_probe_{label}"), Json::float(per_probe));
+            eprintln!("[parallel] {label}: {allocs} allocation events / {probes} probes = {per_probe:.1} allocs/probe");
         }
     }
     for workers in WORKER_COUNTS {

@@ -1,7 +1,7 @@
 //! RFC 1035 message wire format: encoding with name compression, decoding
 //! with pointer-loop protection.
 
-use crate::name::{DnsName, MAX_NAME_LEN};
+use crate::name::{DnsName, NameBuf, MAX_LABEL_LEN, MAX_NAME_LEN};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -347,14 +347,53 @@ impl std::error::Error for WireError {}
 // Encoding
 // ---------------------------------------------------------------------------
 
+/// Suffix offsets an encoder keeps inline; a message with more distinct
+/// name suffixes spills the rest to the heap.
+const INLINE_SUFFIXES: usize = 64;
+
+/// Start offsets (< 0x4000) of each distinct name suffix already emitted,
+/// in emission order, for compression pointers. The first
+/// [`INLINE_SUFFIXES`] sit in an inline array, so encoding a probe's
+/// message allocates nothing for them.
+struct SuffixOffsets {
+    inline: [u16; INLINE_SUFFIXES],
+    len: usize,
+    spill: Vec<u16>,
+}
+
+impl SuffixOffsets {
+    fn new() -> Self {
+        SuffixOffsets {
+            inline: [0; INLINE_SUFFIXES],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, off: u16) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = off;
+                self.len = self.len.saturating_add(1);
+            }
+            None => self.spill.push(off),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u16> + '_ {
+        self.inline
+            .iter()
+            .take(self.len)
+            .chain(&self.spill)
+            .copied()
+    }
+}
+
 struct Encoder<'a> {
     buf: &'a mut Vec<u8>,
-    /// Start offsets (< 0x4000) of each distinct name suffix already
-    /// emitted, in emission order, for compression pointers. A linear scan
-    /// over a handful of offsets replaces the old `HashMap<String, usize>`
-    /// keyed by joined suffix strings, which allocated per label; suffix
-    /// equality is checked against the wire bytes themselves.
-    seen: Vec<u16>,
+    /// Suffix equality is checked against the wire bytes themselves, so
+    /// a linear scan over offsets needs no per-label key.
+    seen: SuffixOffsets,
 }
 
 impl<'a> Encoder<'a> {
@@ -363,7 +402,7 @@ impl<'a> Encoder<'a> {
         buf.reserve(512);
         Encoder {
             buf,
-            seen: Vec::with_capacity(8),
+            seen: SuffixOffsets::new(),
         }
     }
 
@@ -376,9 +415,10 @@ impl<'a> Encoder<'a> {
     }
 
     /// Does the (possibly pointer-compressed) name starting at `off` spell
-    /// exactly `labels`? Reads the already-written wire, chasing pointers.
-    fn suffix_matches(&self, mut off: usize, labels: &[String]) -> bool {
-        let mut idx = 0;
+    /// exactly the dotted, non-empty name `dotted`? Reads the
+    /// already-written wire, chasing pointers.
+    fn suffix_matches(&self, mut off: usize, dotted: &str) -> bool {
+        let mut labels = dotted.split('.');
         loop {
             let Some(&len) = self.buf.get(off) else {
                 return false;
@@ -391,9 +431,9 @@ impl<'a> Encoder<'a> {
                 continue;
             }
             if len == 0 {
-                return idx == labels.len();
+                return labels.next().is_none();
             }
-            let Some(label) = labels.get(idx) else {
+            let Some(label) = labels.next() else {
                 return false;
             };
             let start = off.saturating_add(1);
@@ -407,27 +447,27 @@ impl<'a> Encoder<'a> {
                 return false;
             }
             off = end;
-            idx = idx.saturating_add(1);
         }
     }
 
     /// Emit a (possibly compressed) name. Compression pointers may only
-    /// reference offsets < 0x4000. First-emitted suffix wins, exactly as
-    /// the old map's vacant-only insert did.
+    /// reference offsets < 0x4000. First-emitted suffix wins.
     fn name(&mut self, name: &DnsName) {
-        let mut rest = name.labels();
-        while let Some((label, tail)) = rest.split_first() {
-            if let Some(&off) = self
+        let mut rest = name.as_str();
+        while !rest.is_empty() {
+            let known = self
                 .seen
                 .iter()
-                .find(|&&off| self.suffix_matches(usize::from(off), rest))
-            {
+                .find(|&off| self.suffix_matches(usize::from(off), rest));
+            if let Some(off) = known {
                 self.u16(0xC000 | off);
                 return;
             }
-            if self.buf.len() < 0x4000 {
-                self.seen.push(self.buf.len() as u16);
+            match u16::try_from(self.buf.len()) {
+                Ok(off) if off < 0x4000 => self.seen.push(off),
+                _ => {}
             }
+            let (label, tail) = rest.split_once('.').unwrap_or((rest, ""));
             self.buf.push(label.len() as u8);
             self.buf.extend_from_slice(label.as_bytes());
             rest = tail;
@@ -572,23 +612,24 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decode a name, following compression pointers. Pointers must point
-    /// strictly backwards, which also bounds the number of jumps.
+    /// strictly backwards, which also bounds the number of jumps. The name
+    /// is assembled in a stack buffer and allocated once.
     fn name(&mut self) -> Result<DnsName, WireError> {
-        let mut labels = Vec::new();
-        let mut wire_len = 1; // terminating zero
+        let mut name = NameBuf::new();
         let mut pos = self.pos;
         let mut jumped = false;
         let mut min_ptr = self.pos; // each pointer must go strictly backwards
         loop {
-            let len = *self.buf.get(pos).ok_or(WireError::Truncated)? as usize;
+            let len = usize::from(*self.buf.get(pos).ok_or(WireError::Truncated)?);
+            let next = pos.checked_add(1).ok_or(WireError::Truncated)?;
             if len & 0xC0 == 0xC0 {
-                let lo = *self.buf.get(pos + 1).ok_or(WireError::Truncated)? as usize;
+                let lo = usize::from(*self.buf.get(next).ok_or(WireError::Truncated)?);
                 let target = ((len & 0x3F) << 8) | lo;
                 if target >= min_ptr {
                     return Err(WireError::BadPointer);
                 }
                 if !jumped {
-                    self.pos = pos + 2;
+                    self.pos = next.checked_add(1).ok_or(WireError::Truncated)?;
                     jumped = true;
                 }
                 min_ptr = target;
@@ -599,32 +640,28 @@ impl<'a> Decoder<'a> {
                 // 0x40/0x80 label types are unsupported on the wire.
                 return Err(WireError::BadLabel);
             }
-            pos += 1;
+            pos = next;
             if len == 0 {
                 break;
             }
-            if len > 63 {
+            if len > MAX_LABEL_LEN {
                 return Err(WireError::BadLabel);
             }
-            let raw = self.buf.get(pos..pos + len).ok_or(WireError::Truncated)?;
-            pos += len;
-            wire_len += len + 1;
-            if wire_len > MAX_NAME_LEN {
+            let end = pos.checked_add(len).ok_or(WireError::Truncated)?;
+            let raw = self.buf.get(pos..end).ok_or(WireError::Truncated)?;
+            pos = end;
+            name.push(raw);
+            if name.wire_len() > MAX_NAME_LEN {
                 return Err(WireError::NameTooLong);
             }
             if !raw.iter().all(|b| b.is_ascii() && *b != b'.') {
                 return Err(WireError::BadLabel);
             }
-            labels.push(
-                std::str::from_utf8(raw)
-                    .map_err(|_| WireError::BadLabel)?
-                    .to_ascii_lowercase(),
-            );
         }
         if !jumped {
             self.pos = pos;
         }
-        Ok(DnsName::from_labels(labels))
+        name.into_name().ok_or(WireError::NameTooLong)
     }
 
     fn record(&mut self) -> Result<Record, WireError> {

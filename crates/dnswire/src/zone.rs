@@ -144,8 +144,7 @@ impl Zone {
             return ZoneAnswer::NoData;
         }
         // Wildcard synthesis: *.parent matches a nonexistent child.
-        if !qname.is_root() {
-            let wildcard = qname.to_wildcard();
+        if let Some(wildcard) = qname.to_wildcard() {
             if let Some(rrs) = self.records.get(&wildcard) {
                 let matching: Vec<Record> = rrs
                     .iter()

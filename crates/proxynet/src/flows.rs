@@ -373,7 +373,7 @@ impl World {
     }
 
     /// Has the per-request budget elapsed by proxy-time `t`?
-    fn past_deadline(&self, t0: SimTime, t: SimTime) -> bool {
+    pub(crate) fn past_deadline(&self, t0: SimTime, t: SimTime) -> bool {
         self.request_deadline.is_some_and(|dl| t >= t0 + dl)
     }
 

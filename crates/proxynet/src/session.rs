@@ -3,7 +3,7 @@
 
 use crate::node::NodeId;
 use netsim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Session-stickiness window.
 pub const SESSION_TTL: SimDuration = SimDuration::from_secs(60);
@@ -14,10 +14,13 @@ struct SessionEntry {
     last_used: SimTime,
 }
 
-/// Session table keyed by `(customer, session id)`.
+/// Session table keyed by customer, then by session id, so a lookup or
+/// touch borrows the customer instead of allocating a key for it. A study
+/// has a handful of customers, which an ordered map holds as cheaply as a
+/// hashed one.
 #[derive(Debug, Clone)]
 pub struct SessionTable {
-    entries: HashMap<(String, u64), SessionEntry>,
+    entries: BTreeMap<String, HashMap<u64, SessionEntry>>,
     ttl: SimDuration,
 }
 
@@ -31,7 +34,7 @@ impl SessionTable {
     /// An empty table with the service's standard 60 s stickiness.
     pub fn new() -> Self {
         SessionTable {
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             ttl: SESSION_TTL,
         }
     }
@@ -48,36 +51,45 @@ impl SessionTable {
             return None;
         }
         self.entries
-            .get(&(customer.to_string(), session))
+            .get(customer)?
+            .get(&session)
             .filter(|e| now.since(e.last_used) <= self.ttl)
             .map(|e| e.node)
     }
 
     /// Record that this session used `node` at `now` (refreshes the TTL).
     pub fn touch(&mut self, customer: &str, session: u64, node: NodeId, now: SimTime) {
-        self.entries.insert(
-            (customer.to_string(), session),
-            SessionEntry {
-                node,
-                last_used: now,
-            },
-        );
+        let entry = SessionEntry {
+            node,
+            last_used: now,
+        };
+        match self.entries.get_mut(customer) {
+            Some(sessions) => {
+                sessions.insert(session, entry);
+            }
+            None => {
+                self.entries
+                    .insert(customer.to_string(), HashMap::from([(session, entry)]));
+            }
+        }
     }
 
     /// Drop expired entries (housekeeping; correctness never depends on it).
     pub fn sweep(&mut self, now: SimTime) {
         let ttl = self.ttl;
-        self.entries.retain(|_, e| now.since(e.last_used) <= ttl);
+        for sessions in self.entries.values_mut() {
+            sessions.retain(|_, e| now.since(e.last_used) <= ttl);
+        }
     }
 
     /// Number of live entries (including not-yet-swept expired ones).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(HashMap::len).sum()
     }
 
     /// True if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 

@@ -108,6 +108,11 @@ impl World {
         let mut tried: Vec<NodeId> = Vec::new();
         let mut t = t0 + l.client_to_super.sample(&mut rng);
         for attempt in 0..self.max_attempts {
+            // The client hangs up once the request budget is spent (§2.3).
+            if self.past_deadline(t0, t) {
+                self.advance_to(t);
+                return Err(ProxyError::DeadlineExceeded(debug));
+            }
             let node_id = if attempt == 0 {
                 match self.pick_first(opts, t) {
                     Some(id) => id,
@@ -132,7 +137,8 @@ impl World {
                 continue;
             }
             // The relay's exit link answers to the same fault campaign as
-            // GET and CONNECT; only a drop fails an SMTP attempt.
+            // GET and CONNECT. Transport damage to the SMTP exchange itself
+            // is not modelled: corruption and truncation deliver intact.
             let verdict = self.judge_link(node_id, t_exit, &mut rng);
             if matches!(verdict, netsim::FaultVerdict::Drop)
                 || (node.flakiness > 0.0 && rng.random_bool(node.flakiness))
@@ -144,12 +150,28 @@ impl World {
                 t = t_exit + l.super_to_exit.sample(&mut rng);
                 continue;
             }
+            if matches!(verdict, netsim::FaultVerdict::Stall) {
+                // The conversation hangs and the stalled wait burns the
+                // request budget, as for GET and CONNECT.
+                debug.attempts.push(Attempt {
+                    zid,
+                    outcome: AttemptOutcome::TimedOut,
+                });
+                t = match self.request_deadline {
+                    Some(dl) => t0 + dl,
+                    None => t_exit + l.super_to_exit.sample(&mut rng),
+                };
+                continue;
+            }
+            let t_exit = t_exit + verdict.extra_delay();
             let asn = node.asn;
             let exit_ip = node.ip;
-            let Some(site) = self.smtp.sites_by_ip.get(&target).cloned() else {
+            // Borrowed, not cloned: only a completed STARTTLS copies the
+            // site's chain, as evidence.
+            let Some(site) = self.smtp.sites_by_ip.get(&target) else {
                 return Err(ProxyError::ConnectionRefused);
             };
-            let mitm = self.smtp.isp_interceptors.get(&asn).cloned();
+            let mitm = self.smtp.isp_interceptors.get(&asn);
             let t_origin = t_exit + l.exit_to_origin.sample(&mut rng);
             self.trace.record_with(t_origin, TraceCategory::Origin, || {
                 format!("mail server {} answers SMTP probe", site.host)
@@ -163,7 +185,7 @@ impl World {
                 let mut filter = |cmd: Option<&Command>, reply: Reply| -> Reply {
                     reply.to_text_into(&mut text);
                     let reply = Reply::parse(&text).expect("server replies are well-formed");
-                    match &mitm {
+                    match mitm {
                         Some(m) => m.filter_reply(cmd, reply),
                         None => reply,
                     }
@@ -176,7 +198,7 @@ impl World {
                 // STARTTLS, if advertised end-to-end.
                 let (starttls_reply, tls_chain) = if capabilities.starttls {
                     let cmd = Command::StartTls;
-                    let absorbed = mitm.as_ref().map(|m| m.absorbs(&cmd)).unwrap_or(false);
+                    let absorbed = mitm.is_some_and(|m| m.absorbs(&cmd));
                     let reply = if absorbed {
                         filter(Some(&cmd), Reply::new(220, "unused"))
                     } else {

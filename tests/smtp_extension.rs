@@ -154,3 +154,48 @@ fn outage_campaign_fails_every_relay() {
         }
     }
 }
+
+/// A stalled relay burns the request budget, as a stalled GET or CONNECT
+/// does: under a campaign that stalls every exit link, no relay gets
+/// through, each attempt times out (or finds its node offline or flaky),
+/// and the client gives up once the 20 s budget is spent.
+#[test]
+fn stall_campaign_fails_every_relay() {
+    use tft::netsim::{FaultCampaign, FaultInjector};
+    use tft::proxynet::{AttemptOutcome, DEFAULT_REQUEST_DEADLINE};
+
+    let mut built = build(&worldgen::smoke_spec(0x5A7F));
+    built
+        .world
+        .set_fault_campaign(FaultCampaign::uniform(FaultInjector {
+            stall_chance: 1.0,
+            ..FaultInjector::none()
+        }));
+    let host = built
+        .world
+        .mail_hosts()
+        .min()
+        .expect("the smoke world runs mail servers")
+        .to_string();
+    let target = built.world.mail_site_address(&host).expect("registered");
+    let mut timed_out = 0;
+    for session in 0..20 {
+        let before = built.world.now();
+        let opts = UsernameOptions::new("smtp-stall").session(session);
+        let debug = match built.world.vpn_relay_smtp(&opts, target) {
+            Err(ProxyError::DeadlineExceeded(debug)) => {
+                assert!(built.world.now() >= before + DEFAULT_REQUEST_DEADLINE);
+                timed_out += 1;
+                debug
+            }
+            Err(ProxyError::AllRetriesFailed(debug)) => debug,
+            other => panic!("relay {session} got through a stalled link: {other:?}"),
+        };
+        assert!(!debug.attempts.is_empty());
+        assert!(debug.attempts.iter().all(|a| matches!(
+            a.outcome,
+            AttemptOutcome::TimedOut | AttemptOutcome::Offline | AttemptOutcome::Flaked
+        )));
+    }
+    assert!(timed_out > 0, "no relay reached an online node");
+}
