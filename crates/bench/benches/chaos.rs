@@ -1,7 +1,7 @@
-//! The chaos machinery's zero-fault fast path: a world with its fault
-//! machinery armed but idle (a campaign scoped to no node, the 20 s
-//! request deadline) must cost nothing measurable over a world with the
-//! machinery absent.
+//! The chaos machinery's zero-fault fast path: a world armed with an idle
+//! fault campaign (a rule scoped to a region no node inhabits) must cost
+//! nothing measurable over a world with no campaign at all. The 20 s
+//! request deadline is a constant of the attempt path, on in both.
 //!
 //! Two proofs, one noise-free and one wall-clock:
 //!
@@ -61,7 +61,7 @@ fn probe_world() -> (World, String) {
 }
 
 /// Arm the fault machinery without letting it fire: a campaign rule
-/// scoped to a region no node inhabits, and the default deadline.
+/// scoped to a region no node inhabits.
 fn arm(world: &mut World) {
     world.set_fault_campaign(FaultCampaign::none().with_rule(FaultRule {
         scope: FaultScope::region("ZZ"),
@@ -90,11 +90,7 @@ fn main() {
     let (pristine, host) = probe_world();
 
     // Proof 1: armed-idle is *exact* — same bytes, same virtual clock.
-    let baseline_out = {
-        let mut world = pristine.clone();
-        world.set_request_deadline(None);
-        run_batch(&mut world, &host, sessions)
-    };
+    let baseline_out = run_batch(&mut pristine.clone(), &host, sessions);
     let armed_out = {
         let mut world = pristine.clone();
         arm(&mut world);
@@ -108,9 +104,7 @@ fn main() {
     // Proof 2: wall-clock medians, archived to BENCH_chaos.json.
     let base_ns = {
         let stats = h.bench(&format!("proxy_get/{sessions}req/baseline"), || {
-            let mut world = pristine.clone();
-            world.set_request_deadline(None);
-            black_box(run_batch(&mut world, &host, sessions))
+            black_box(run_batch(&mut pristine.clone(), &host, sessions))
         });
         stats.median_ns
     };

@@ -33,20 +33,7 @@ pub struct HarnessRun {
 /// Build the calibrated world and run the complete study, plus the SMTP
 /// future-work extension.
 pub fn run_full(scale: f64, seed: u64) -> HarnessRun {
-    let BuiltWorld { mut world, truth } = build(&paper_spec(scale, seed));
-    let cfg = StudyConfig::scaled(scale);
-    let report = run_study(&mut world, &cfg);
-    let smtp_data = tft_core::smtp_exp::run(&mut world, &cfg);
-    let smtp = tft_core::analysis::smtp::analyze(&smtp_data, &world, &cfg);
-    let card = score_report(&report, &truth);
-    HarnessRun {
-        report,
-        truth,
-        card,
-        smtp,
-        scale,
-        seed,
-    }
+    run_full_spec(&paper_spec(scale, seed))
 }
 
 /// Run the complete study over an explicit spec (e.g. loaded from a file).

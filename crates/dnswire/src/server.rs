@@ -200,11 +200,6 @@ impl AuthServer {
     ) -> impl Iterator<Item = &'a QueryLogEntry> + 'a {
         self.log.iter().filter(move |e| &e.qname == name)
     }
-
-    /// Clear the query log.
-    pub fn clear_log(&mut self) {
-        self.log.clear();
-    }
 }
 
 #[cfg(test)]

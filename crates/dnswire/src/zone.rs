@@ -179,11 +179,6 @@ impl Zone {
         }
         ZoneAnswer::NxDomain
     }
-
-    /// Number of owner names with records.
-    pub fn owner_count(&self) -> usize {
-        self.records.len()
-    }
 }
 
 #[cfg(test)]

@@ -221,20 +221,6 @@ impl InternetRegistry {
         self.orgs.values()
     }
 
-    /// Look an organization up by exact name (names are unique in practice
-    /// in this registry; returns the first match).
-    pub fn org_by_name(&self, name: &str) -> Option<&Organization> {
-        self.orgs.values().find(|o| o.name == name)
-    }
-
-    /// All ASNs operated by an organization.
-    pub fn asns_of_org(&self, org: OrgId) -> impl Iterator<Item = Asn> + '_ {
-        self.ases
-            .values()
-            .filter(move |r| r.org == org)
-            .map(|r| r.asn)
-    }
-
     /// Build (or rebuild) the RIB snapshot after registration is complete.
     pub fn snapshot_rib(&mut self) {
         let mut b = RibBuilder::new();
@@ -275,11 +261,6 @@ impl InternetRegistry {
     /// Full chain: `ip → organization`.
     pub fn org_of_ip(&self, ip: Ipv4Addr) -> Option<&Organization> {
         self.ip_to_asn(ip).and_then(|a| self.asn_to_org(a))
-    }
-
-    /// Number of registered ASes.
-    pub fn as_count(&self) -> usize {
-        self.ases.len()
     }
 }
 

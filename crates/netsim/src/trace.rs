@@ -84,11 +84,6 @@ impl TraceLog {
         }
     }
 
-    /// Whether events are currently recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Enable or disable recording.
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;

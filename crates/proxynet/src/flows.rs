@@ -1,28 +1,42 @@
 //! Request processing: the end-to-end flows of Figures 1–4.
 //!
 //! Everything the proxy ecosystem *does* lives here — super-proxy DNS
-//! pre-checks, exit selection with sessions and retries, remote DNS
-//! resolution with hijack semantics, origin fetches with in-path
-//! modification, CONNECT tunnels with TLS interception, and monitor
-//! refetch scheduling.
+//! pre-checks, exit selection with sessions, remote DNS resolution with
+//! hijack semantics, origin fetches with in-path modification, CONNECT
+//! tunnels with TLS interception, and monitor refetch scheduling.
+//!
+//! Every flow reaches its exit node down one attempt path,
+//! `World::reach_exit`: up to [`MAX_ATTEMPTS`] nodes within
+//! [`DEFAULT_REQUEST_DEADLINE`], each attempt judged against the fault
+//! campaign and recorded in the debug timeline. A GET, a CONNECT and an
+//! SMTP relay (`smtp_flow`) all pass customer admission first and keep
+//! only their own exchange with the exit node; `World::settle` then does
+//! the success bookkeeping they share.
 
 use crate::client::{
     Attempt, AttemptOutcome, ChainDamage, ProxyError, ProxyResponse, TimelineDebug, TlsProbeResult,
 };
-use crate::node::{NodeId, ResolverChoice};
+use crate::node::{NodeId, ResolverChoice, ZId};
 use crate::username::UsernameOptions;
 use crate::world::{World, WorldEvent};
 use dnswire::{DnsName, Message, QType};
 use httpwire::{Response, Uri};
 use middlebox::RefetchOffset;
 use netsim::rng::RngExt;
-use netsim::{FaultInjector, FaultTarget, FaultVerdict, SimRng, SimTime, TraceCategory};
+use netsim::{
+    FaultInjector, FaultTarget, FaultVerdict, SimDuration, SimRng, SimTime, TraceCategory,
+};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// Maximum exit-node attempts per request (Luminati retries up to five
 /// times, §2.3).
 pub const MAX_ATTEMPTS: usize = 5;
+
+/// The service's per-request time budget: the client gives up on a request
+/// after 20 seconds (§2.3). A fault campaign's stalls and delay spikes burn
+/// against it.
+pub const DEFAULT_REQUEST_DEADLINE: SimDuration = SimDuration::from_secs(20);
 
 /// Reusable wire-codec buffers owned by the world (DESIGN.md §10).
 ///
@@ -178,14 +192,11 @@ impl World {
 
     // -- exit selection ------------------------------------------------------
 
-    /// Pick an exit node honoring `-country-XX`, excluding already-tried
-    /// nodes. Offline nodes *can* be picked — the failure then shows up in
-    /// the debug timeline, which is how the retry path gets exercised.
-    pub(crate) fn pick_exit(
-        &mut self,
-        opts: &UsernameOptions,
-        exclude: &[NodeId],
-    ) -> Option<NodeId> {
+    /// Pick an exit node honoring `-country-XX`, excluding the nodes the
+    /// request already tried (a zID names one node). Offline nodes *can* be
+    /// picked — the failure then shows up in the debug timeline, which is
+    /// how the retry path gets exercised.
+    fn pick_exit(&mut self, opts: &UsernameOptions, tried: &[Attempt]) -> Option<NodeId> {
         let pool: &[NodeId] = match opts.country {
             Some(cc) => self.pool_by_country.get(&cc).map(|v| v.as_slice())?,
             None => &self.pool_all,
@@ -195,21 +206,12 @@ impl World {
         }
         for _ in 0..64 {
             let id = pool[self.rng.random_range(0..pool.len())];
-            if !exclude.contains(&id) {
+            let zid = self.nodes[id.0 as usize].zid;
+            if !tried.iter().any(|a| a.zid == zid) {
                 return Some(id);
             }
         }
         None
-    }
-
-    /// Session-aware selection for the first attempt.
-    pub(crate) fn pick_first(&mut self, opts: &UsernameOptions, now: SimTime) -> Option<NodeId> {
-        if let Some(sid) = opts.session {
-            if let Some(node) = self.sessions.lookup(&opts.customer, sid, now) {
-                return Some(node);
-            }
-        }
-        self.pick_exit(opts, &[])
     }
 
     fn touch_session(&mut self, opts: &UsernameOptions, node: NodeId, now: SimTime) {
@@ -352,29 +354,128 @@ impl World {
         self.advance(by);
     }
 
-    // -- chaos machinery -----------------------------------------------------
+    // -- the attempt path -------------------------------------------------------
 
-    /// Judge one exit-link delivery against the world's fault campaign, the
-    /// one fault source on the exit link (GET, CONNECT and SMTP relays
-    /// alike). An inert campaign (the default) draws nothing.
-    pub(crate) fn judge_link(
-        &self,
-        node_id: NodeId,
-        at: SimTime,
+    /// The super proxy's attempt loop (§2.3), one for every flow: a GET, a
+    /// CONNECT and an SMTP relay each leave the super proxy at `t` and try
+    /// up to `max_attempts` exit nodes, the first by session, until the
+    /// 20 s budget counted from admission `t0` is spent. An offline node
+    /// draws nothing; an online one has its link judged against the fault
+    /// campaign and its own flakiness, and a `Stall` burns the rest of the
+    /// budget. Every failed attempt lands in the debug timeline.
+    ///
+    /// Returns the first node that takes the request. When none does, the
+    /// clock advances to the client's hang-up and the error carries the
+    /// timeline.
+    pub(crate) fn reach_exit(
+        &mut self,
+        opts: &UsernameOptions,
+        t0: SimTime,
+        mut t: SimTime,
         rng: &mut SimRng,
-    ) -> FaultVerdict {
-        let node = &self.nodes[node_id.0 as usize];
-        let target = FaultTarget {
-            region: node.country.as_str(),
-            isp: node.asn.0 as u64,
-            node: node_id.0 as u64,
-        };
-        self.campaign.judge(&target, at, rng)
+    ) -> Result<ReachedExit, ProxyError> {
+        let l = self.latencies;
+        let deadline = t0 + DEFAULT_REQUEST_DEADLINE;
+        let mut debug = TimelineDebug::default();
+        for attempt in 0..self.max_attempts {
+            if t >= deadline {
+                self.advance_to(t);
+                return Err(ProxyError::DeadlineExceeded(debug));
+            }
+            // The first attempt goes to the session's node while it lives.
+            let pinned = match opts.session {
+                Some(sid) if attempt == 0 => self.sessions.lookup(&opts.customer, sid, t),
+                _ => None,
+            };
+            let Some(node_id) = pinned.or_else(|| self.pick_exit(opts, &debug.attempts)) else {
+                if attempt == 0 {
+                    return Err(ProxyError::NoExitAvailable);
+                }
+                break;
+            };
+            let node = &self.nodes[node_id.0 as usize];
+            let zid = node.zid;
+            let t_exit = t + l.super_to_exit.sample(rng);
+            self.trace
+                .record_with(t_exit, TraceCategory::SuperProxy, || {
+                    format!("super proxy forwards request to exit node {zid}")
+                });
+            let outcome = if !node.online {
+                t = t_exit + l.super_to_exit.sample(rng);
+                AttemptOutcome::Offline
+            } else {
+                // The campaign is the exit link's one fault source; an inert
+                // one draws nothing.
+                let target = FaultTarget {
+                    region: node.country.as_str(),
+                    isp: node.asn.0 as u64,
+                    node: node_id.0 as u64,
+                };
+                let verdict = self.campaign.judge(&target, t_exit, rng);
+                let flaked = matches!(verdict, FaultVerdict::Drop)
+                    || (node.flakiness > 0.0 && rng.random_bool(node.flakiness));
+                let t_exit = t_exit + verdict.extra_delay();
+                if flaked {
+                    t = t_exit + l.super_to_exit.sample(rng);
+                    AttemptOutcome::Flaked
+                } else if matches!(verdict, FaultVerdict::Stall) {
+                    // The exchange hangs until the client gives up.
+                    t = deadline;
+                    AttemptOutcome::TimedOut
+                } else {
+                    return Ok(ReachedExit {
+                        node: node_id,
+                        zid,
+                        at: t_exit,
+                        verdict,
+                        debug,
+                    });
+                }
+            };
+            debug.attempts.push(Attempt { zid, outcome });
+        }
+        self.advance_to(t + l.client_to_super.sample(rng));
+        Err(ProxyError::AllRetriesFailed(debug))
     }
 
-    /// Has the per-request budget elapsed by proxy-time `t`?
-    pub(crate) fn past_deadline(&self, t0: SimTime, t: SimTime) -> bool {
-        self.request_deadline.is_some_and(|dl| t >= t0 + dl)
+    /// The bookkeeping every flow does once the exit node's exchange ends
+    /// at `t_origin`: the `Success` attempt, the three return legs (origin,
+    /// exit node, super proxy), the session touch, and `billed` bytes on
+    /// the customer's bill. Returns when the reply reaches the client.
+    pub(crate) fn settle(
+        &mut self,
+        opts: &UsernameOptions,
+        exit: &mut ReachedExit,
+        t_origin: SimTime,
+        rng: &mut SimRng,
+        billed: u64,
+    ) -> SimTime {
+        exit.debug.attempts.push(Attempt {
+            zid: exit.zid,
+            outcome: AttemptOutcome::Success,
+        });
+        let l = self.latencies;
+        let t_back = t_origin
+            + l.exit_to_origin.sample(rng)
+            + l.super_to_exit.sample(rng)
+            + l.client_to_super.sample(rng);
+        self.touch_session(opts, exit.node, t_back);
+        // Point lookup first: the entry API would clone the customer key on
+        // every request, hit or miss.
+        match self.bytes_billed.get_mut(&opts.customer) {
+            Some(v) => *v += billed,
+            None => {
+                self.bytes_billed.insert(opts.customer.clone(), billed);
+            }
+        }
+        t_back
+    }
+
+    /// The exit node found no listener at the target: the refusal reaches
+    /// the client, and the clock with it.
+    pub(crate) fn refuse(&mut self, t_origin: SimTime, rng: &mut SimRng) -> ProxyError {
+        self.advance_to(t_origin + self.latencies.client_to_super.sample(rng));
+        ProxyError::ConnectionRefused
     }
 
     // -- the client-facing flows ----------------------------------------------
@@ -408,177 +509,96 @@ impl World {
             return Err(ProxyError::SuperProxyDnsFailure);
         };
 
-        let mut debug = TimelineDebug::default();
-        let mut tried: Vec<NodeId> = Vec::new();
-        let mut t = t_checked;
-        for attempt in 0..self.max_attempts {
-            // The client hangs up once the request budget is spent (§2.3).
-            if self.past_deadline(t0, t) {
-                self.advance_to(t);
-                return Err(ProxyError::DeadlineExceeded(debug));
-            }
-            let node_id = if attempt == 0 {
-                match self.pick_first(opts, t) {
-                    Some(id) => id,
-                    None => return Err(ProxyError::NoExitAvailable),
-                }
-            } else {
-                match self.pick_exit(opts, &tried) {
-                    Some(id) => id,
-                    None => break,
-                }
-            };
-            tried.push(node_id);
-            let zid = self.nodes[node_id.0 as usize].zid;
-            let t_exit = t + l.super_to_exit.sample(&mut rng);
-            self.trace
-                .record_with(t_exit, TraceCategory::SuperProxy, || {
-                    format!("super proxy forwards request to exit node {zid}")
-                });
+        let mut exit = self.reach_exit(opts, t0, t_checked, &mut rng)?;
+        let (node_id, zid) = (exit.node, exit.zid);
 
-            // Residential reality: offline nodes, flaky links, and whatever
-            // the fault campaign scripts for this link at this moment.
-            let verdict = self.judge_link(node_id, t_exit, &mut rng);
-            let node = &self.nodes[node_id.0 as usize];
-            let flaked = matches!(verdict, FaultVerdict::Drop)
-                || (node.flakiness > 0.0 && rng.random_bool(node.flakiness));
-            let t_exit = t_exit + verdict.extra_delay();
-            if !node.online {
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::Offline,
-                });
-                t = t_exit + l.super_to_exit.sample(&mut rng);
-                continue;
+        // ④ exit-node DNS, when `-dns-remote` moves resolution there.
+        let (effective_ip, t_resolved) = if opts.dns_remote {
+            let t_q = exit.at + l.exit_to_dns.sample(&mut rng);
+            match self.resolve_at_exit(node_id, &url.host, t_q) {
+                ExitResolve::Answer(ip) | ExitResolve::Hijacked(ip) => {
+                    (ip, t_q + l.exit_to_dns.sample(&mut rng))
+                }
+                ExitResolve::NxDomain => {
+                    exit.debug.attempts.push(Attempt {
+                        zid,
+                        outcome: AttemptOutcome::DnsError,
+                    });
+                    self.touch_session(opts, node_id, t_q);
+                    self.advance_to(t_q + l.client_to_super.sample(&mut rng));
+                    // NXDOMAIN is an authoritative answer, not a node
+                    // failure: the super proxy reports it rather than
+                    // retrying.
+                    return Err(ProxyError::ExitDnsFailure(exit.debug));
+                }
             }
-            if flaked {
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::Flaked,
-                });
-                t = t_exit + l.super_to_exit.sample(&mut rng);
-                continue;
-            }
-            if matches!(verdict, FaultVerdict::Stall) {
-                // The exchange hangs: the super proxy's read times out, and
-                // the stalled wait burns the request budget.
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::TimedOut,
-                });
-                t = match self.request_deadline {
-                    Some(dl) => t0 + dl,
-                    None => t_exit + l.super_to_exit.sample(&mut rng),
-                };
-                continue;
-            }
+        } else {
+            (super_ip, exit.at)
+        };
 
-            // ④ exit-node DNS, when `-dns-remote` moves resolution there.
-            let (effective_ip, t_resolved) = if opts.dns_remote {
-                let t_q = t_exit + l.exit_to_dns.sample(&mut rng);
-                match self.resolve_at_exit(node_id, &url.host, t_q) {
-                    ExitResolve::Answer(ip) => (ip, t_q + l.exit_to_dns.sample(&mut rng)),
-                    ExitResolve::Hijacked(ip) => (ip, t_q + l.exit_to_dns.sample(&mut rng)),
-                    ExitResolve::NxDomain => {
-                        debug.attempts.push(Attempt {
-                            zid,
-                            outcome: AttemptOutcome::DnsError,
-                        });
-                        self.touch_session(opts, node_id, t_q);
-                        self.advance_to(t_q + l.client_to_super.sample(&mut rng));
-                        // NXDOMAIN is an authoritative answer, not a node
-                        // failure: the super proxy reports it rather than
-                        // retrying.
-                        return Err(ProxyError::ExitDnsFailure(debug));
-                    }
-                }
-            } else {
-                (super_ip, t_exit)
-            };
-
-            // ⑤ the actual origin fetch.
-            let t_origin = t_resolved + l.exit_to_origin.sample(&mut rng);
-            let node = &self.nodes[node_id.0 as usize];
-            let observed_src = match &node.software.vpn_egress {
-                Some(pool) if !pool.is_empty() => {
-                    // VPN egress: the origin never sees the node's own IP.
-                    let head = pool.len().saturating_sub(1).max(1);
-                    pool[rng.random_range(0..head)]
-                }
-                _ => node.ip,
-            };
-            // The response travels as real HTTP/1.1 bytes, through the
-            // shard's reused scratch buffer.
-            let mut wire = std::mem::take(&mut self.scratch.http_wire);
-            self.origin_response_into(
-                t_origin,
-                observed_src,
-                effective_ip,
-                &url.host,
-                &url.path,
-                Some("Hola/1.108"),
-                &mut wire,
-            );
-            let (mut resp, _) = Response::parse(&wire).expect("own encoding parses");
-            self.scratch.http_wire = wire;
-            self.apply_response_mods(node_id, &mut resp);
-            // Transport damage scripted by the campaign lands *after* the
-            // in-path modifications: the client receives a mangled or
-            // cut-short copy of whatever actually travelled the tunnel.
-            match verdict {
-                FaultVerdict::CorruptAndDeliver { .. } => {
-                    FaultInjector::corrupt(&mut rng, &mut resp.body);
-                }
-                FaultVerdict::Truncate { .. } => {
-                    FaultInjector::truncate(&mut rng, &mut resp.body);
-                }
-                _ => {}
+        // ⑤ the actual origin fetch.
+        let t_origin = t_resolved + l.exit_to_origin.sample(&mut rng);
+        let node = &self.nodes[node_id.0 as usize];
+        let observed_src = match &node.software.vpn_egress {
+            Some(pool) if !pool.is_empty() => {
+                // VPN egress: the origin never sees the node's own IP.
+                let head = pool.len().saturating_sub(1).max(1);
+                pool[rng.random_range(0..head)]
             }
-            if effective_ip == self.web_ip {
-                self.schedule_monitors(node_id, &url.host, &url.path, t_origin);
+            _ => node.ip,
+        };
+        // The response travels as real HTTP/1.1 bytes, through the shard's
+        // reused scratch buffer.
+        let mut wire = std::mem::take(&mut self.scratch.http_wire);
+        self.origin_response_into(
+            t_origin,
+            observed_src,
+            effective_ip,
+            &url.host,
+            &url.path,
+            Some("Hola/1.108"),
+            &mut wire,
+        );
+        let (mut resp, _) = Response::parse(&wire).expect("own encoding parses");
+        self.scratch.http_wire = wire;
+        self.apply_response_mods(node_id, &mut resp);
+        // Transport damage scripted by the campaign lands *after* the
+        // in-path modifications: the client receives a mangled or cut-short
+        // copy of whatever actually travelled the tunnel.
+        match exit.verdict {
+            FaultVerdict::CorruptAndDeliver { .. } => {
+                FaultInjector::corrupt(&mut rng, &mut resp.body);
             }
-
-            debug.attempts.push(Attempt {
-                zid,
-                outcome: AttemptOutcome::Success,
-            });
-            let t_back = t_origin
-                + l.exit_to_origin.sample(&mut rng)
-                + l.super_to_exit.sample(&mut rng)
-                + l.client_to_super.sample(&mut rng);
-            self.touch_session(opts, node_id, t_back);
-            let billed = resp.body.len() as u64;
-            // Point-lookup first: the entry API would clone the customer
-            // key on every request, hit or miss.
-            match self.bytes_billed.get_mut(&opts.customer) {
-                Some(v) => *v += billed,
-                None => {
-                    self.bytes_billed.insert(opts.customer.clone(), billed);
-                }
+            FaultVerdict::Truncate { .. } => {
+                FaultInjector::truncate(&mut rng, &mut resp.body);
             }
-            self.trace.record_with(t_back, TraceCategory::Client, || {
-                format!(
-                    "client receives {} ({} bytes) via {zid}",
-                    resp.status,
-                    resp.body.len()
-                )
-            });
-            self.advance_to(t_back);
-
-            let exit_ip = self.nodes[node_id.0 as usize].ip;
-            let mut headers = std::mem::take(&mut resp.headers);
-            headers.set("X-Hola-Timeline-Debug", &debug.to_header_value());
-            headers.set("X-Hola-Unblocker-Debug", &format!("zid={zid} ip={exit_ip}"));
-            return Ok(ProxyResponse {
-                status: resp.status,
-                headers,
-                body: resp.body,
-                debug,
-                exit_ip,
-            });
+            _ => {}
         }
-        self.advance_to(t + l.client_to_super.sample(&mut rng));
-        Err(ProxyError::AllRetriesFailed(debug))
+        if effective_ip == self.web_ip {
+            self.schedule_monitors(node_id, &url.host, &url.path, t_origin);
+        }
+
+        let t_back = self.settle(opts, &mut exit, t_origin, &mut rng, resp.body.len() as u64);
+        self.trace.record_with(t_back, TraceCategory::Client, || {
+            format!(
+                "client receives {} ({} bytes) via {zid}",
+                resp.status,
+                resp.body.len()
+            )
+        });
+        self.advance_to(t_back);
+
+        let exit_ip = self.nodes[node_id.0 as usize].ip;
+        let mut headers = std::mem::take(&mut resp.headers);
+        headers.set("X-Hola-Timeline-Debug", &exit.debug.to_header_value());
+        headers.set("X-Hola-Unblocker-Debug", &format!("zid={zid} ip={exit_ip}"));
+        Ok(ProxyResponse {
+            status: resp.status,
+            headers,
+            body: resp.body,
+            debug: exit.debug,
+            exit_ip,
+        })
     }
 
     /// CONNECT tunnel + TLS certificate collection (Figure 3): the client
@@ -602,145 +622,96 @@ impl World {
         self.trace.record_with(t0, TraceCategory::Client, || {
             format!("client sends CONNECT {target}:443 to super proxy")
         });
-        let mut debug = TimelineDebug::default();
-        let mut tried: Vec<NodeId> = Vec::new();
-        let mut t = t0 + l.client_to_super.sample(&mut rng);
-        for attempt in 0..self.max_attempts {
-            if self.past_deadline(t0, t) {
-                self.advance_to(t);
-                return Err(ProxyError::DeadlineExceeded(debug));
-            }
-            let node_id = if attempt == 0 {
-                match self.pick_first(opts, t) {
-                    Some(id) => id,
-                    None => return Err(ProxyError::NoExitAvailable),
-                }
-            } else {
-                match self.pick_exit(opts, &tried) {
-                    Some(id) => id,
-                    None => break,
-                }
-            };
-            tried.push(node_id);
-            let zid = self.nodes[node_id.0 as usize].zid;
-            let t_exit = t + l.super_to_exit.sample(&mut rng);
-            let node = &self.nodes[node_id.0 as usize];
-            if !node.online {
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::Offline,
-                });
-                t = t_exit + l.super_to_exit.sample(&mut rng);
-                continue;
-            }
-            let verdict = self.judge_link(node_id, t_exit, &mut rng);
-            let node = &self.nodes[node_id.0 as usize];
-            if matches!(verdict, FaultVerdict::Drop)
-                || (node.flakiness > 0.0 && rng.random_bool(node.flakiness))
-            {
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::Flaked,
-                });
-                t = t_exit + l.super_to_exit.sample(&mut rng);
-                continue;
-            }
-            if matches!(verdict, FaultVerdict::Stall) {
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::TimedOut,
-                });
-                t = match self.request_deadline {
-                    Some(dl) => t0 + dl,
-                    None => t_exit + l.super_to_exit.sample(&mut rng),
-                };
-                continue;
-            }
-            let t_exit = t_exit + verdict.extra_delay();
+        let t = t0 + l.client_to_super.sample(&mut rng);
+        let mut exit = self.reach_exit(opts, t0, t, &mut rng)?;
+        let zid = exit.zid;
 
-            let t_origin = t_exit + l.exit_to_origin.sample(&mut rng);
-            let Some(site_host) = self.origin_by_ip.get(&target).cloned() else {
-                self.advance_to(t_origin + l.client_to_super.sample(&mut rng));
-                return Err(ProxyError::ConnectionRefused);
-            };
-            let site = &self.origin_sites[&site_host];
-            if site.chain.is_empty() {
-                self.advance_to(t_origin + l.client_to_super.sample(&mut rng));
-                return Err(ProxyError::ConnectionRefused);
-            }
-            // A refcount on the site's immutable chain: an untouched
-            // handshake records it without copying a certificate.
-            let original = Arc::clone(&site.chain);
-            let original_valid = site.chain_valid;
-            self.trace.record_with(t_origin, TraceCategory::Tls, || {
-                format!("exit node {zid} handshakes with {site_host} ({target}:443)")
-            });
-            let now = self.now();
-            // Copy-on-write: issuing a spoofed cert advances the
-            // interceptor's key stream, so the touched node unshares.
-            let node = self.node_cow(node_id);
-            let replaced = node
-                .software
-                .tls_interceptor
-                .as_mut()
-                .and_then(|i| i.intercept(sni, &original, original_valid, now));
-            let mut chain = match replaced {
-                Some(spoofed) => {
-                    if spoofed.len() != original.len()
-                        || spoofed.first().map(|c| c.fingerprint())
-                            != original.first().map(|c| c.fingerprint())
-                    {
-                        self.trace
-                            .record_with(t_origin, TraceCategory::Middlebox, || {
-                                format!("certificate replaced for {sni} on {zid}")
-                            });
-                    }
-                    Arc::from(spoofed)
-                }
-                None => original,
-            };
-
-            // Campaign-scripted transport damage to the handshake bytes:
-            // the chain still arrives but is untrustworthy evidence, and the
-            // client can tell (decode failure) — the analysis layer
-            // quarantines it instead of scoring certificate replacement.
-            let damaged = match verdict {
-                FaultVerdict::CorruptAndDeliver { .. } => Some(ChainDamage::Garbled),
-                FaultVerdict::Truncate { .. } => {
-                    let keep = rng.random_range(0..chain.len());
-                    chain = Arc::from(&chain[..keep]);
-                    Some(ChainDamage::Truncated)
-                }
-                _ => None,
-            };
-
-            debug.attempts.push(Attempt {
-                zid,
-                outcome: AttemptOutcome::Success,
-            });
-            let t_back = t_origin
-                + l.exit_to_origin.sample(&mut rng)
-                + l.super_to_exit.sample(&mut rng)
-                + l.client_to_super.sample(&mut rng);
-            self.touch_session(opts, node_id, t_back);
-            // Certificates travel in the handshake; bill a nominal size.
-            *self.bytes_billed.entry(opts.customer.clone()).or_insert(0) +=
-                chain.len() as u64 * 1500;
-            self.advance_to(t_back);
-            self.trace.record_with(t_back, TraceCategory::Client, || {
-                format!("client records {} certificate(s) and closes", chain.len())
-            });
-            let exit_ip = self.nodes[node_id.0 as usize].ip;
-            return Ok(TlsProbeResult {
-                chain,
-                debug,
-                exit_ip,
-                damaged,
-            });
+        let t_origin = exit.at + l.exit_to_origin.sample(&mut rng);
+        let Some(site) = self
+            .origin_by_ip
+            .get(&target)
+            .map(|host| &self.origin_sites[host])
+        else {
+            return Err(self.refuse(t_origin, &mut rng));
+        };
+        if site.chain.is_empty() {
+            return Err(self.refuse(t_origin, &mut rng));
         }
-        self.advance_to(t + l.client_to_super.sample(&mut rng));
-        Err(ProxyError::AllRetriesFailed(debug))
+        // A refcount on the site's immutable chain: an untouched handshake
+        // records it without copying a certificate.
+        let original = Arc::clone(&site.chain);
+        let original_valid = site.chain_valid;
+        self.trace.record_with(t_origin, TraceCategory::Tls, || {
+            format!(
+                "exit node {zid} handshakes with {} ({target}:443)",
+                site.host
+            )
+        });
+        let now = self.now();
+        // Copy-on-write: issuing a spoofed cert advances the interceptor's
+        // key stream, so the touched node unshares.
+        let node = self.node_cow(exit.node);
+        let replaced = node
+            .software
+            .tls_interceptor
+            .as_mut()
+            .and_then(|i| i.intercept(sni, &original, original_valid, now));
+        let mut chain = match replaced {
+            Some(spoofed) => {
+                if spoofed.len() != original.len()
+                    || spoofed.first().map(|c| c.fingerprint())
+                        != original.first().map(|c| c.fingerprint())
+                {
+                    self.trace
+                        .record_with(t_origin, TraceCategory::Middlebox, || {
+                            format!("certificate replaced for {sni} on {zid}")
+                        });
+                }
+                Arc::from(spoofed)
+            }
+            None => original,
+        };
+
+        // Campaign-scripted transport damage to the handshake bytes: the
+        // chain still arrives but is untrustworthy evidence, and the client
+        // can tell (decode failure) — the analysis layer quarantines it
+        // instead of scoring certificate replacement.
+        let damaged = match exit.verdict {
+            FaultVerdict::CorruptAndDeliver { .. } => Some(ChainDamage::Garbled),
+            FaultVerdict::Truncate { .. } => {
+                let keep = rng.random_range(0..chain.len());
+                chain = Arc::from(&chain[..keep]);
+                Some(ChainDamage::Truncated)
+            }
+            _ => None,
+        };
+
+        // Certificates travel in the handshake; bill a nominal size.
+        let billed = chain.len() as u64 * 1500;
+        let t_back = self.settle(opts, &mut exit, t_origin, &mut rng, billed);
+        self.advance_to(t_back);
+        self.trace.record_with(t_back, TraceCategory::Client, || {
+            format!("client records {} certificate(s) and closes", chain.len())
+        });
+        let exit_ip = self.nodes[exit.node.0 as usize].ip;
+        Ok(TlsProbeResult {
+            chain,
+            debug: exit.debug,
+            exit_ip,
+            damaged,
+        })
     }
+}
+
+/// The exit node that took a request, as `World::reach_exit` hands it to
+/// the flow: the node, its arrival there (delay spike included), the fault
+/// campaign's verdict on the exchange, and the attempts so far.
+pub(crate) struct ReachedExit {
+    pub node: NodeId,
+    pub zid: ZId,
+    pub at: SimTime,
+    pub verdict: FaultVerdict,
+    pub debug: TimelineDebug,
 }
 
 fn fnv(s: &str) -> u64 {

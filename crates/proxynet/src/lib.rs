@@ -13,9 +13,10 @@
 //! - [`servers`]: the measurement web server (request log!), origin sites,
 //!   landing servers;
 //! - [`world`] / [`flows`]: the [`World`] runtime and the request flows of
-//!   Figures 1–4 — super-proxy DNS pre-check, exit selection, up-to-five
-//!   retries within the 20 s request deadline with per-attempt debug
-//!   records, one fault-campaign check per exit-link delivery, remote DNS
+//!   Figures 1–4 — super-proxy DNS pre-check, then one attempt path for
+//!   GET, CONNECT and SMTP relays: exit selection, up-to-five retries
+//!   within the 20 s request deadline with per-attempt debug records, and
+//!   one fault-campaign check per exit-link delivery; remote DNS
 //!   with hijack semantics, in-path response modification, CONNECT-to-443
 //!   tunnels with TLS interception, and monitor refetch scheduling.
 //!
@@ -43,12 +44,10 @@ pub mod world;
 pub use client::{
     Attempt, AttemptOutcome, ChainDamage, ProxyError, ProxyResponse, TimelineDebug, TlsProbeResult,
 };
-pub use flows::MAX_ATTEMPTS;
+pub use flows::{DEFAULT_REQUEST_DEADLINE, MAX_ATTEMPTS};
 pub use node::{ExitNode, HostSoftware, NodeId, Platform, ResolverChoice, ZId};
 pub use servers::{OriginSite, WebLogEntry, WebServer};
 pub use session::{SessionTable, SESSION_TTL};
 pub use smtp_flow::{MailSite, SmtpProbeResult};
 pub use username::{UsernameError, UsernameOptions};
-pub use world::{
-    EvidenceMark, IspHttp, ResolverDef, ShardEvidence, World, DEFAULT_REQUEST_DEADLINE,
-};
+pub use world::{EvidenceMark, IspHttp, ResolverDef, ShardEvidence, World};

@@ -164,11 +164,6 @@ impl WebServer {
     pub fn append_log(&mut self, entries: &mut Vec<WebLogEntry>) {
         self.log.append(entries);
     }
-
-    /// Clear the log.
-    pub fn clear_log(&mut self) {
-        self.log.clear();
-    }
 }
 
 /// A third-party origin site (popular site, university, or one of our

@@ -5,22 +5,24 @@
 //!
 //! Luminati itself only tunnels port 443; this flow models the
 //! *hypothetical* VPN service the paper sketches: same peer population and
-//! session semantics, but raw TCP to port 25. In-path SMTP interceptors
-//! (STARTTLS strippers) operate per access AS, like the other in-path
-//! middleboxes.
+//! session semantics, but raw TCP to port 25. A relay reaches its exit node
+//! down the attempt path GET and CONNECT take (see `flows`), so customer
+//! admission, retries, the request deadline, the fault campaign and
+//! billing are theirs; only the SMTP conversation is its own. In-path SMTP
+//! interceptors (STARTTLS strippers) operate per access AS, like the other
+//! in-path middleboxes.
 
-use crate::client::{Attempt, AttemptOutcome, ProxyError, TimelineDebug};
-use crate::node::NodeId;
+use crate::client::{ProxyError, TimelineDebug};
 use crate::username::UsernameOptions;
 use crate::world::World;
 use certs::Certificate;
 use inetdb::Asn;
 use middlebox::SmtpInterceptor;
-use netsim::rng::RngExt;
 use netsim::TraceCategory;
 use smtpwire::{Capabilities, Command, MailServer, Reply};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A third-party mail server in the world.
 #[derive(Debug, Clone)]
@@ -31,8 +33,9 @@ pub struct MailSite {
     pub ip: Ipv4Addr,
     /// The server model.
     pub server: MailServer,
-    /// Certificate chain presented after STARTTLS.
-    pub chain: Vec<Certificate>,
+    /// Certificate chain presented after STARTTLS. Immutable and shared:
+    /// a completed upgrade records a refcount on it, not a copy.
+    pub chain: Arc<[Certificate]>,
 }
 
 /// What one SMTP probe through one exit node observed.
@@ -46,8 +49,9 @@ pub struct SmtpProbeResult {
     pub capabilities: Capabilities,
     /// Reply to STARTTLS, when the probe attempted the upgrade.
     pub starttls_reply: Option<Reply>,
-    /// Certificate chain observed after a successful upgrade.
-    pub tls_chain: Option<Vec<Certificate>>,
+    /// Certificate chain observed after a successful upgrade; shares the
+    /// mail site's chain.
+    pub tls_chain: Option<Arc<[Certificate]>>,
     /// Debug timeline (final zID identifies the exit node).
     pub debug: TimelineDebug,
     /// The exit node's address as reported by the service.
@@ -93,149 +97,86 @@ impl World {
     /// of the hypothetical arbitrary-traffic VPN. Runs banner → EHLO →
     /// (STARTTLS if advertised) → QUIT, all through the node's access
     /// network and any interceptor sitting in it.
+    ///
+    /// The relay is admitted, retried and billed like a GET or a CONNECT:
+    /// a customer rate limit delays it, its exit link answers to the fault
+    /// campaign within the 20 s request deadline, and a failed relay moves
+    /// the clock to the client's hang-up. Transport damage to the SMTP
+    /// exchange itself is not modelled: corruption and truncation verdicts
+    /// deliver intact.
     pub fn vpn_relay_smtp(
         &mut self,
         opts: &UsernameOptions,
         target: Ipv4Addr,
     ) -> Result<SmtpProbeResult, ProxyError> {
-        let t0 = self.now();
+        let t0 = self.admit_customer(&opts.customer, self.now());
         let mut rng = self.rng.fork_indexed("latency-smtp", t0.as_millis());
         let l = self.latencies;
         self.trace.record_with(t0, TraceCategory::Client, || {
             format!("client relays SMTP probe to {target}:25 via VPN")
         });
-        let mut debug = TimelineDebug::default();
-        let mut tried: Vec<NodeId> = Vec::new();
-        let mut t = t0 + l.client_to_super.sample(&mut rng);
-        for attempt in 0..self.max_attempts {
-            // The client hangs up once the request budget is spent (§2.3).
-            if self.past_deadline(t0, t) {
-                self.advance_to(t);
-                return Err(ProxyError::DeadlineExceeded(debug));
-            }
-            let node_id = if attempt == 0 {
-                match self.pick_first(opts, t) {
-                    Some(id) => id,
-                    None => return Err(ProxyError::NoExitAvailable),
-                }
-            } else {
-                match self.pick_exit(opts, &tried) {
-                    Some(id) => id,
-                    None => break,
-                }
-            };
-            tried.push(node_id);
-            let node = &self.nodes[node_id.0 as usize];
-            let zid = node.zid;
-            let t_exit = t + l.super_to_exit.sample(&mut rng);
-            if !node.online {
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::Offline,
-                });
-                t = t_exit + l.super_to_exit.sample(&mut rng);
-                continue;
-            }
-            // The relay's exit link answers to the same fault campaign as
-            // GET and CONNECT. Transport damage to the SMTP exchange itself
-            // is not modelled: corruption and truncation deliver intact.
-            let verdict = self.judge_link(node_id, t_exit, &mut rng);
-            if matches!(verdict, netsim::FaultVerdict::Drop)
-                || (node.flakiness > 0.0 && rng.random_bool(node.flakiness))
-            {
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::Flaked,
-                });
-                t = t_exit + l.super_to_exit.sample(&mut rng);
-                continue;
-            }
-            if matches!(verdict, netsim::FaultVerdict::Stall) {
-                // The conversation hangs and the stalled wait burns the
-                // request budget, as for GET and CONNECT.
-                debug.attempts.push(Attempt {
-                    zid,
-                    outcome: AttemptOutcome::TimedOut,
-                });
-                t = match self.request_deadline {
-                    Some(dl) => t0 + dl,
-                    None => t_exit + l.super_to_exit.sample(&mut rng),
-                };
-                continue;
-            }
-            let t_exit = t_exit + verdict.extra_delay();
-            let asn = node.asn;
-            let exit_ip = node.ip;
-            // Borrowed, not cloned: only a completed STARTTLS copies the
-            // site's chain, as evidence.
-            let Some(site) = self.smtp.sites_by_ip.get(&target) else {
-                return Err(ProxyError::ConnectionRefused);
-            };
-            let mitm = self.smtp.isp_interceptors.get(&asn);
-            let t_origin = t_exit + l.exit_to_origin.sample(&mut rng);
-            self.trace.record_with(t_origin, TraceCategory::Origin, || {
-                format!("mail server {} answers SMTP probe", site.host)
-            });
+        let t = t0 + l.client_to_super.sample(&mut rng);
+        let mut exit = self.reach_exit(opts, t0, t, &mut rng)?;
 
-            // Banner. Replies travel as real wire text either way: each is
-            // rendered through the shard's reused scratch buffer and
-            // re-parsed, exercising the codec without a per-reply String.
-            let mut text = std::mem::take(&mut self.scratch.smtp_text);
-            let (banner, ehlo, capabilities, starttls_reply, tls_chain) = {
-                let mut filter = |cmd: Option<&Command>, reply: Reply| -> Reply {
-                    reply.to_text_into(&mut text);
-                    let reply = Reply::parse(&text).expect("server replies are well-formed");
-                    match mitm {
-                        Some(m) => m.filter_reply(cmd, reply),
-                        None => reply,
-                    }
-                };
-                let banner = filter(None, site.server.banner());
-                // EHLO.
-                let ehlo_cmd = Command::Ehlo("probe.tft.example".to_string());
-                let ehlo = filter(Some(&ehlo_cmd), site.server.handle(&ehlo_cmd));
-                let capabilities = Capabilities::from_ehlo(&ehlo);
-                // STARTTLS, if advertised end-to-end.
-                let (starttls_reply, tls_chain) = if capabilities.starttls {
-                    let cmd = Command::StartTls;
-                    let absorbed = mitm.is_some_and(|m| m.absorbs(&cmd));
-                    let reply = if absorbed {
-                        filter(Some(&cmd), Reply::new(220, "unused"))
-                    } else {
-                        filter(Some(&cmd), site.server.handle(&cmd))
-                    };
-                    let chain = (reply.code == 220).then(|| site.chain.clone());
-                    (Some(reply), chain)
+        let t_origin = exit.at + l.exit_to_origin.sample(&mut rng);
+        // Borrowed, not cloned: a completed STARTTLS records a refcount on
+        // the site's chain.
+        let Some(site) = self.smtp.sites_by_ip.get(&target) else {
+            return Err(self.refuse(t_origin, &mut rng));
+        };
+        let node = &self.nodes[exit.node.0 as usize];
+        let exit_ip = node.ip;
+        let mitm = self.smtp.isp_interceptors.get(&node.asn);
+        self.trace.record_with(t_origin, TraceCategory::Origin, || {
+            format!("mail server {} answers SMTP probe", site.host)
+        });
+
+        // Banner. Replies travel as real wire text either way: each is
+        // rendered through the shard's reused scratch buffer and re-parsed,
+        // exercising the codec without a per-reply String.
+        let mut text = std::mem::take(&mut self.scratch.smtp_text);
+        let (banner, ehlo, capabilities, starttls_reply, tls_chain) = {
+            let mut filter = |cmd: Option<&Command>, reply: Reply| -> Reply {
+                reply.to_text_into(&mut text);
+                let reply = Reply::parse(&text).expect("server replies are well-formed");
+                match mitm {
+                    Some(m) => m.filter_reply(cmd, reply),
+                    None => reply,
+                }
+            };
+            let banner = filter(None, site.server.banner());
+            // EHLO.
+            let ehlo_cmd = Command::Ehlo("probe.tft.example".to_string());
+            let ehlo = filter(Some(&ehlo_cmd), site.server.handle(&ehlo_cmd));
+            let capabilities = Capabilities::from_ehlo(&ehlo);
+            // STARTTLS, if advertised end-to-end.
+            let (starttls_reply, tls_chain) = if capabilities.starttls {
+                let cmd = Command::StartTls;
+                let absorbed = mitm.is_some_and(|m| m.absorbs(&cmd));
+                let reply = if absorbed {
+                    filter(Some(&cmd), Reply::new(220, "unused"))
                 } else {
-                    (None, None)
+                    filter(Some(&cmd), site.server.handle(&cmd))
                 };
-                (banner, ehlo, capabilities, starttls_reply, tls_chain)
+                let chain = (reply.code == 220).then(|| Arc::clone(&site.chain));
+                (Some(reply), chain)
+            } else {
+                (None, None)
             };
-            self.scratch.smtp_text = text;
+            (banner, ehlo, capabilities, starttls_reply, tls_chain)
+        };
+        self.scratch.smtp_text = text;
 
-            debug.attempts.push(Attempt {
-                zid,
-                outcome: AttemptOutcome::Success,
-            });
-            let t_back = t_origin
-                + l.exit_to_origin.sample(&mut rng)
-                + l.super_to_exit.sample(&mut rng)
-                + l.client_to_super.sample(&mut rng);
-            if let Some(sid) = opts.session {
-                self.sessions.touch(&opts.customer, sid, node_id, t_back);
-            }
-            *self.bytes_billed.entry(opts.customer.clone()).or_insert(0) += 512;
-            self.advance_to(t_back);
-            return Ok(SmtpProbeResult {
-                banner,
-                ehlo,
-                capabilities,
-                starttls_reply,
-                tls_chain,
-                debug,
-                exit_ip,
-            });
-        }
-        Err(ProxyError::AllRetriesFailed(debug))
+        let t_back = self.settle(opts, &mut exit, t_origin, &mut rng, 512);
+        self.advance_to(t_back);
+        Ok(SmtpProbeResult {
+            banner,
+            ehlo,
+            capabilities,
+            starttls_reply,
+            tls_chain,
+            debug: exit.debug,
+            exit_ip,
+        })
     }
 }

@@ -19,11 +19,6 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 use substrate::intern::SymbolTable;
 
-/// The service's per-request time budget: the paper reports the client
-/// gives up on a request after 20 seconds (§2.3). On by default; a fault
-/// campaign's stalls and outages burn against it.
-pub const DEFAULT_REQUEST_DEADLINE: SimDuration = SimDuration::from_secs(20);
-
 /// A resolver a node can be configured to use.
 #[derive(Debug, Clone)]
 pub struct ResolverDef {
@@ -126,7 +121,6 @@ pub struct World {
     pub site_symbols: Arc<SymbolTable>,
     pub(crate) latencies: PathLatencies,
     pub(crate) campaign: FaultCampaign,
-    pub(crate) request_deadline: Option<SimDuration>,
     pub(crate) trace: TraceLog,
 
     /// Per-node `Arc` inside a shared `Arc`: a write to one node (TLS
@@ -204,7 +198,6 @@ impl World {
             site_symbols: Arc::new(SymbolTable::new()),
             latencies: PathLatencies::default(),
             campaign: FaultCampaign::none(),
-            request_deadline: Some(DEFAULT_REQUEST_DEADLINE),
             trace: TraceLog::disabled(),
             nodes: Arc::new(Vec::new()),
             pool_by_country: Arc::new(HashMap::new()),
@@ -315,19 +308,6 @@ impl World {
     /// uniform link injector is [`FaultCampaign::uniform`].
     pub fn set_fault_campaign(&mut self, campaign: FaultCampaign) {
         self.campaign = campaign;
-    }
-
-    /// Set the per-request deadline (the paper's 20 s budget, §2.3). Once a
-    /// request's virtual clock passes admission + deadline, the attempt
-    /// loop stops with [`crate::ProxyError::DeadlineExceeded`]. `None`
-    /// disables the deadline.
-    pub fn set_request_deadline(&mut self, deadline: Option<SimDuration>) {
-        self.request_deadline = deadline;
-    }
-
-    /// Replace the latency model.
-    pub fn set_latencies(&mut self, latencies: PathLatencies) {
-        self.latencies = latencies;
     }
 
     /// Override the session stickiness window (ablation knob; 0 disables
@@ -601,13 +581,6 @@ impl World {
     /// Ground-truth in-path HTTP interference lookup (scoring only).
     pub fn isp_http_of(&self, asn: Asn) -> Option<&IspHttp> {
         self.isp_http.get(&asn)
-    }
-
-    /// All registered origin sites (used by the measurement client as the
-    /// public "site directory" — hostnames and addresses are public
-    /// knowledge, their behaviour is not).
-    pub fn origin_hosts(&self) -> impl Iterator<Item = &str> {
-        self.origin_sites.keys().map(|s| s.as_str())
     }
 
     /// The Google anycast instance the super proxy resolves through.

@@ -11,10 +11,7 @@
 //! table once, deterministically, at world-construction time (site lists,
 //! AS organisation names, country labels), share it read-only across
 //! shards, and have probe loops only *look up* symbols. Probe loops never
-//! insert, so shard execution order cannot perturb ids. For pipelines that
-//! must grow tables concurrently, [`SymbolTable::merge`] folds one table
-//! into another and returns the id remapping; merging is deterministic in
-//! the operand order, which the parallel executor already fixes.
+//! insert, so shard execution order cannot perturb ids.
 //!
 //! Interned comparisons are u32 compares; a resolved `&str` is only needed
 //! at the analysis/report boundary.
@@ -34,12 +31,6 @@ impl Symbol {
     /// The dense index this symbol occupies in its table.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Rebuild a symbol from a dense index previously obtained via
-    /// [`Symbol::index`] (e.g. after JSON round-tripping).
-    pub fn from_index(index: usize) -> Option<Symbol> {
-        u32::try_from(index).ok().map(Symbol)
     }
 }
 
@@ -91,9 +82,7 @@ impl SymbolTable {
             return Symbol(id);
         }
         let id = u32::try_from(self.strings.len()).expect("SymbolTable overflow");
-        // tft-lint: allow(hot-path-alloc, reason = "first-insertion ownership IS the interner's job: each distinct string is copied exactly once, and steady-state callers hit the early return or lookup()")
         self.strings.push(s.to_string());
-        // tft-lint: allow(hot-path-alloc, reason = "first-insertion ownership IS the interner's job: each distinct string is copied exactly once, and steady-state callers hit the early return or lookup()")
         self.index.insert(s.to_string(), id);
         Symbol(id)
     }
@@ -133,18 +122,6 @@ impl SymbolTable {
             .iter()
             .enumerate()
             .map(|(i, s)| (Symbol(i as u32), s.as_str()))
-    }
-
-    /// Fold `other` into `self`: every string of `other` is interned here
-    /// (keeping existing ids, appending genuinely new strings in `other`'s
-    /// insertion order). Returns the remap `other`-id → `self`-symbol, so
-    /// records carrying `other` symbols can be rewritten.
-    ///
-    /// Merging is deterministic in the operand order: merging the same
-    /// tables in the same order always yields the same result table and
-    /// remaps.
-    pub fn merge(&mut self, other: &SymbolTable) -> Vec<Symbol> {
-        other.strings.iter().map(|s| self.intern(s)).collect()
     }
 }
 
@@ -230,23 +207,6 @@ mod tests {
         assert!(SymbolTable::from_json(&crate::json::parse("{}").unwrap()).is_err());
     }
 
-    #[test]
-    fn merge_keeps_existing_ids_and_appends_new() {
-        let mut base = SymbolTable::new();
-        base.intern("a");
-        base.intern("b");
-        let mut other = SymbolTable::new();
-        other.intern("b");
-        other.intern("c");
-        let remap = base.merge(&other);
-        assert_eq!(remap.len(), 2);
-        assert_eq!(base.resolve(remap[0]), "b");
-        assert_eq!(base.resolve(remap[1]), "c");
-        assert_eq!(base.len(), 3);
-        assert_eq!(base.lookup("a").unwrap().index(), 0);
-        assert_eq!(base.lookup("c").unwrap().index(), 2);
-    }
-
     /// Arbitrary short strings over a mixed alphabet (empty allowed).
     fn gen_strings() -> qc::Gen<Vec<String>> {
         qc::vec_of(qc::string_of("abz09.-\u{e9}", 0..=6), 0..=24)
@@ -287,43 +247,6 @@ mod tests {
                 }
                 if t.len() != len_after_first {
                     return qc::TestResult::Fail("re-intern grew the table".into());
-                }
-                qc::pass()
-            },
-        );
-    }
-
-    #[test]
-    fn qc_merge_is_deterministic_and_complete() {
-        qc::check(
-            "table-merge determinism",
-            &qc::Config::new(),
-            &qc::tuple2(gen_strings(), gen_strings()),
-            |(left, right)| {
-                let build = |items: &[String]| {
-                    let mut t = SymbolTable::new();
-                    for s in items {
-                        t.intern(s);
-                    }
-                    t
-                };
-                let mut merged_a = build(left);
-                let other = build(right);
-                let remap_a = merged_a.merge(&other);
-                // Same operands, same order → identical table and remap.
-                let mut merged_b = build(left);
-                let remap_b = merged_b.merge(&build(right));
-                if merged_a.to_json().render() != merged_b.to_json().render() {
-                    return qc::TestResult::Fail("merge result diverged".into());
-                }
-                if remap_a != remap_b {
-                    return qc::TestResult::Fail("remap diverged".into());
-                }
-                // Every remapped symbol resolves to the original string.
-                for (sym_other, s) in other.iter() {
-                    if merged_a.resolve(remap_a[sym_other.index()]) != s {
-                        return qc::TestResult::Fail(format!("remap lost {s:?}"));
-                    }
                 }
                 qc::pass()
             },

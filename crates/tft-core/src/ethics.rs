@@ -58,11 +58,6 @@ impl ByteBudget {
     pub fn used(&self, zid: &ZId) -> u64 {
         self.used.get(zid).copied().unwrap_or(0)
     }
-
-    /// Number of nodes that have been charged.
-    pub fn nodes_touched(&self) -> usize {
-        self.used.len()
-    }
 }
 
 /// One suffix rule with its dotted form precomputed: `permits` sits on the

@@ -191,19 +191,6 @@ pub fn score_report(report: &StudyReport, truth: &GroundTruth) -> ScoreCard {
     }
 }
 
-/// Score the SMTP extension experiment against planted stripping truth.
-pub fn score_smtp(data: &crate::smtp_exp::SmtpDataset, truth: &GroundTruth) -> Score {
-    let index = zid_index(truth);
-    let truth_set: HashSet<NodeId> = truth.smtp_stripped.iter().copied().collect();
-    score(
-        data.observations
-            .iter()
-            .map(|o| (&o.zid, !o.result.capabilities.starttls)),
-        &truth_set,
-        &index,
-    )
-}
-
 /// Render a scorecard.
 pub fn render(card: &ScoreCard) -> String {
     format!(

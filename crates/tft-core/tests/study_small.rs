@@ -109,6 +109,8 @@ fn http_detects_injection_signatures() {
         "missing cloudfront signature in {sigs:?}"
     );
     assert!(r.card.http_html.precision() > 0.99, "{}", r.card.http_html);
+    // Every planted HTML injector on a measured node is found.
+    assert!(r.card.http_html.recall() == 1.0, "{}", r.card.http_html);
 }
 
 #[test]
@@ -160,6 +162,9 @@ fn https_recovers_issuer_table() {
         r.report.https.issuers.first()
     );
     assert!(r.card.https.precision() > 0.99, "{}", r.card.https);
+    // The EXPERIMENTS.md floor: a per-site-selective product whose three
+    // phase-1 sites were all left alone is the method's own blind spot.
+    assert!(r.card.https.recall() >= 0.95, "{}", r.card.https);
 }
 
 #[test]

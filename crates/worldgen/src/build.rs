@@ -768,7 +768,7 @@ impl<'a> Builder<'a> {
                     host: host.clone(),
                     ip,
                     server: smtpwire::MailServer::new(&host),
-                    chain: vec![leaf, ca.cert.clone()],
+                    chain: vec![leaf, ca.cert.clone()].into(),
                 });
             }
         }

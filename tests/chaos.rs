@@ -6,9 +6,10 @@
 //! world, but with a corruption- and truncation-only fault campaign
 //! running over every exit-node link.
 
+use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
-use tft::netsim::{FaultCampaign, FaultInjector};
+use tft::netsim::{FaultCampaign, FaultInjector, FaultProfile, FaultRule, FaultScope, SimDuration};
 use tft::prelude::*;
 use tft::proxynet::{AttemptOutcome, DEFAULT_REQUEST_DEADLINE};
 use tft::tft_core::obs::DnsOutcome;
@@ -144,7 +145,182 @@ fn annex_accounts_for_every_quarantined_probe() {
     }
 }
 
-// -- transport-level chaos knobs, exercised directly ----------------------
+// -- one attempt path for every flow ---------------------------------------
+
+/// The three flows the super proxy carries.
+#[derive(Clone, Copy, Debug)]
+enum Flow {
+    Get,
+    Connect,
+    Smtp,
+}
+
+/// Where each flow goes: a probe host on the study's own web server, a
+/// ranked HTTPS site, and a mail server.
+struct Targets {
+    get: String,
+    connect: Ipv4Addr,
+    smtp: Ipv4Addr,
+}
+
+impl Targets {
+    fn in_smoke_world(world: &mut World) -> Targets {
+        let get = register_probe_host(world, "parity-probe");
+        let site = world
+            .rankings
+            .top_sites(CountryCode::new("AA"), 1)
+            .expect("the smoke world ranks AA sites")[0]
+            .clone();
+        let mail = world
+            .mail_hosts()
+            .min()
+            .expect("the smoke world runs mail servers")
+            .to_string();
+        Targets {
+            get,
+            connect: world.site_address(&site).expect("ranked site"),
+            smtp: world.mail_site_address(&mail).expect("registered"),
+        }
+    }
+}
+
+impl Flow {
+    /// Send one request of this flow.
+    fn send(
+        self,
+        world: &mut World,
+        opts: &UsernameOptions,
+        to: &Targets,
+    ) -> Result<(), ProxyError> {
+        match self {
+            Flow::Get => world.proxy_get(opts, &Uri::http(&to.get, "/")).map(drop),
+            Flow::Connect => world
+                .proxy_connect_tls(opts, to.connect, 443, "parity.example")
+                .map(drop),
+            Flow::Smtp => world.vpn_relay_smtp(opts, to.smtp).map(drop),
+        }
+    }
+}
+
+/// What the world scripts for one row of the parity table.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Case {
+    /// A global outage: every exit link drops.
+    Outage,
+    /// Every exit link stalls.
+    Stall,
+    /// One request per customer per 60 s.
+    RateLimit,
+    /// The target address has no listener (CONNECT and SMTP only).
+    NoListener,
+}
+
+/// Run `flow` under `case` in a fresh smoke world; `Err` says how it
+/// departed from the attempt path every flow shares.
+fn check_flow(case: Case, flow: Flow) -> Result<(), String> {
+    let mut built = build(&smoke_spec(0x5A7F));
+    let world = &mut built.world;
+    let mut to = Targets::in_smoke_world(world);
+    match case {
+        Case::Outage => world.set_fault_campaign(FaultCampaign::none().with_rule(FaultRule {
+            scope: FaultScope::all(),
+            window: None,
+            profile: FaultProfile::Outage,
+        })),
+        Case::Stall => world.set_fault_campaign(FaultCampaign::uniform(FaultInjector {
+            stall_chance: 1.0,
+            ..FaultInjector::none()
+        })),
+        Case::RateLimit => world.set_customer_rate_limit(1, SimDuration::from_secs(60)),
+        Case::NoListener => {
+            to.connect = NO_LISTENER;
+            to.smtp = NO_LISTENER;
+        }
+    }
+    world.set_tracing(true);
+    let opts = UsernameOptions::new("parity").session(1);
+    if case == Case::RateLimit {
+        // Buckets refill at whole intervals counted from the epoch: start on
+        // a boundary, so the second request owes a whole interval.
+        let into = world.now().as_millis() % 60_000;
+        world.advance(SimDuration::from_millis((60_000 - into) % 60_000));
+    }
+    let start = world.now();
+    let got = flow.send(world, &opts, &to);
+    let end = world.now();
+    // The last attempt's trace line (the client's own line when the flow
+    // logs none per attempt).
+    let last_event = world.trace().events().last().map_or(start, |e| e.at);
+    match (case, got) {
+        (Case::Outage, Err(ProxyError::AllRetriesFailed(debug))) => {
+            if debug.attempts.is_empty()
+                || !debug
+                    .attempts
+                    .iter()
+                    .all(|a| matches!(a.outcome, AttemptOutcome::Flaked | AttemptOutcome::Offline))
+            {
+                return Err(format!("attempts {debug:?} under an outage"));
+            }
+            if end <= last_event {
+                return Err(format!(
+                    "the clock stayed at {} ms, not past the last attempt at {} ms",
+                    end.as_millis(),
+                    last_event.as_millis()
+                ));
+            }
+        }
+        (Case::Stall, Err(ProxyError::DeadlineExceeded(_))) => {
+            if end < start + DEFAULT_REQUEST_DEADLINE {
+                return Err(format!(
+                    "gave up {} after admission, before the deadline",
+                    end.since(start)
+                ));
+            }
+        }
+        (Case::RateLimit, Ok(_)) => {
+            world.clear_trace();
+            if let Err(e) = flow.send(world, &opts, &to) {
+                return Err(format!("second request failed: {e:?}"));
+            }
+            let second = world.trace().events()[0].at;
+            if second < start + SimDuration::from_secs(60) {
+                return Err(format!(
+                    "second request started {} after the first",
+                    second.since(start)
+                ));
+            }
+        }
+        (Case::NoListener, Err(ProxyError::ConnectionRefused)) => {
+            if end <= start {
+                return Err("the clock did not move on a refused connection".into());
+            }
+        }
+        (_, other) => return Err(format!("ended in {other:?}")),
+    }
+    Ok(())
+}
+
+/// An address no site or mail server listens on (RFC 5737 TEST-NET-1).
+const NO_LISTENER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+
+/// A GET, a CONNECT and an SMTP relay share one attempt path: the same
+/// outage, stall, rate limit or missing listener ends each the same way,
+/// with the clock where the client stops waiting.
+#[test]
+fn every_flow_takes_the_same_attempt_path() {
+    let mut failures = Vec::new();
+    for case in [Case::Outage, Case::Stall, Case::RateLimit, Case::NoListener] {
+        for flow in [Flow::Get, Flow::Connect, Flow::Smtp] {
+            if case == Case::NoListener && matches!(flow, Flow::Get) {
+                continue;
+            }
+            if let Err(why) = check_flow(case, flow) {
+                failures.push(format!("{case:?}/{flow:?}: {why}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
 
 /// Register `host` on the study's own web server so `proxy_get` has a
 /// destination, mirroring the `fault_tolerance.rs` setup.

@@ -2,6 +2,10 @@
 //! planted on three ISPs must be recovered by the comparative analysis,
 //! with clean networks untouched.
 
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
+
+use tft::certs::Certificate;
 use tft::prelude::*;
 
 struct Run {
@@ -107,6 +111,29 @@ fn clean_paths_complete_the_tls_upgrade() {
             obs.mail_host
         );
     }
+    // Upgrades share the mail site's chain: every upgrade to one host
+    // records the same allocation, not a copy of it.
+    let mut chains: HashMap<&str, &Arc<[Certificate]>> = HashMap::new();
+    let mut repeats = 0;
+    for obs in &r.data.observations {
+        let Some(chain) = &obs.result.tls_chain else {
+            continue;
+        };
+        match chains.entry(obs.mail_host.as_str()) {
+            Entry::Occupied(first) => {
+                assert!(
+                    Arc::ptr_eq(first.get(), chain),
+                    "two upgrades to {} hold separate chains",
+                    obs.mail_host
+                );
+                repeats += 1;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(chain);
+            }
+        }
+    }
+    assert!(repeats > 0, "no mail host was upgraded twice");
 }
 
 #[test]
