@@ -233,11 +233,6 @@ impl DnsName {
         name.into_name().ok_or(NameError::NameTooLong)
     }
 
-    /// True if the leftmost label is `*` (wildcard owner name).
-    pub fn is_wildcard(&self) -> bool {
-        self.labels().next() == Some("*")
-    }
-
     /// Replace the leftmost label with `*` (None at the root).
     pub fn to_wildcard(&self) -> Option<DnsName> {
         if self.is_root() {
@@ -388,8 +383,6 @@ mod tests {
         let n = DnsName::parse("foo.example.com").unwrap();
         let w = n.to_wildcard().unwrap();
         assert_eq!(w.to_string(), "*.example.com");
-        assert!(w.is_wildcard());
-        assert!(!n.is_wildcard());
         assert_eq!(
             DnsName::parse("foo")
                 .unwrap()

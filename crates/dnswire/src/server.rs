@@ -181,10 +181,16 @@ impl AuthServer {
         self.log.extend_from_slice(entries);
     }
 
-    /// Remove and return the log entries from index `from` on (a shard's
-    /// own evidence), in a buffer sized to them.
-    pub fn take_log_tail(&mut self, from: usize) -> Vec<QueryLogEntry> {
-        self.log.split_off(from)
+    /// Remove and return the whole log (a shard's evidence), in a buffer
+    /// sized to it.
+    pub fn take_log(&mut self) -> Vec<QueryLogEntry> {
+        self.log.split_off(0)
+    }
+
+    /// Swap in `log` and return the old log, moving both buffers without
+    /// copying an entry.
+    pub fn replace_log(&mut self, log: Vec<QueryLogEntry>) -> Vec<QueryLogEntry> {
+        std::mem::replace(&mut self.log, log)
     }
 
     /// Move `entries` onto the end of the log, leaving `entries` empty

@@ -97,11 +97,6 @@ impl Encoder {
         self.finished = true;
         b"0\r\n\r\n".to_vec()
     }
-
-    /// Whether [`finish`](Encoder::finish) has been called.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
 }
 
 /// Decode a chunked body. Returns `(body, bytes_consumed)`.
@@ -261,9 +256,7 @@ mod tests {
     #[test]
     fn streaming_encoder_finish_is_idempotent() {
         let mut enc = Encoder::new();
-        assert!(!enc.is_finished());
         assert_eq!(enc.finish(), b"0\r\n\r\n");
-        assert!(enc.is_finished());
         assert!(enc.finish().is_empty());
     }
 

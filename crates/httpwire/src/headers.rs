@@ -38,14 +38,6 @@ impl Headers {
             .map(|(_, v)| v.as_str())
     }
 
-    /// All values for `name`, in insertion order.
-    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.entries
-            .iter()
-            .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Remove all values for `name`. Returns how many were removed.
     pub fn remove(&mut self, name: &str) -> usize {
         let before = self.entries.len();
@@ -124,8 +116,8 @@ mod tests {
         let mut h = Headers::new();
         h.append("Via", "proxy-a");
         h.append("Via", "proxy-b");
-        let vias: Vec<_> = h.get_all("via").collect();
-        assert_eq!(vias, vec!["proxy-a", "proxy-b"]);
+        let vias: Vec<_> = h.iter().collect();
+        assert_eq!(vias, vec![("Via", "proxy-a"), ("Via", "proxy-b")]);
         assert_eq!(h.get("via"), Some("proxy-a"));
     }
 
@@ -135,7 +127,7 @@ mod tests {
         h.append("X", "1");
         h.append("X", "2");
         h.set("x", "3");
-        assert_eq!(h.get_all("X").collect::<Vec<_>>(), vec!["3"]);
+        assert_eq!(h.iter().collect::<Vec<_>>(), vec![("x", "3")]);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod chunked;
-pub mod conn;
 pub mod headers;
 mod parse;
 pub mod request;
@@ -29,7 +28,6 @@ pub mod response;
 pub mod status;
 pub mod uri;
 
-pub use conn::RequestStream;
 pub use headers::Headers;
 pub use parse::ParseError;
 pub use request::{Method, Request, Target};

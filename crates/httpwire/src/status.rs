@@ -51,21 +51,6 @@ impl StatusCode {
             _ => "Unknown",
         }
     }
-
-    /// True for 2xx codes.
-    pub fn is_success(self) -> bool {
-        (200..300).contains(&self.0)
-    }
-
-    /// True for 3xx codes.
-    pub fn is_redirect(self) -> bool {
-        (300..400).contains(&self.0)
-    }
-
-    /// True for 4xx/5xx codes.
-    pub fn is_error(self) -> bool {
-        self.0 >= 400
-    }
 }
 
 impl fmt::Display for StatusCode {
@@ -77,14 +62,6 @@ impl fmt::Display for StatusCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classification() {
-        assert!(StatusCode::OK.is_success());
-        assert!(StatusCode::FOUND.is_redirect());
-        assert!(StatusCode::BAD_GATEWAY.is_error());
-        assert!(!StatusCode::OK.is_error());
-    }
 
     #[test]
     fn reasons() {

@@ -38,11 +38,6 @@ impl Rankings {
         self.per_country.get(&country).map(|v| &v[..n.min(v.len())])
     }
 
-    /// Whether rankings exist for `country`.
-    pub fn has_country(&self, country: CountryCode) -> bool {
-        self.per_country.contains_key(&country)
-    }
-
     /// All ranked countries.
     pub fn countries(&self) -> impl Iterator<Item = CountryCode> + '_ {
         self.per_country.keys().copied()
@@ -105,8 +100,8 @@ mod tests {
     fn unranked_country_is_detectable() {
         let mut r = Rankings::new();
         r.set_country(cc("US"), vec!["a".into()]);
-        assert!(r.has_country(cc("US")));
-        assert!(!r.has_country(cc("KP")));
+        assert!(r.top_sites(cc("US"), 1).is_some());
+        assert!(r.top_sites(cc("KP"), 1).is_none());
         assert_eq!(r.countries().count(), 1);
     }
 }

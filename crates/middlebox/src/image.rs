@@ -45,11 +45,6 @@ impl ImageTranscoder {
         &self.ratios
     }
 
-    /// True if this deployment uses multiple ratios (Table 7's "M" rows).
-    pub fn is_multi_ratio(&self) -> bool {
-        self.ratios.len() > 1
-    }
-
     /// Transcode a JPEG body: picks one operating point (per request, which
     /// for a single-ratio deployment is deterministic) and produces a
     /// smaller JPEG. Non-JPEG inputs pass through untouched — the paper saw
@@ -116,7 +111,6 @@ mod tests {
     #[test]
     fn multi_ratio_produces_multiple_sizes() {
         let t = ImageTranscoder::new(vec![0.3, 0.6]);
-        assert!(t.is_multi_ratio());
         let mut rng = SimRng::new(3);
         let img = jpeg(10_000);
         let sizes: std::collections::HashSet<usize> =

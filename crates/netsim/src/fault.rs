@@ -167,27 +167,6 @@ impl FaultInjector {
         })
     }
 
-    /// Clamping constructor: out-of-range probabilities are forced into
-    /// `[0, 1]` and NaN becomes 0 (for hand-written test configs where a
-    /// panic would be worse than a clamp).
-    pub fn clamped(
-        drop_chance: f64,
-        corrupt_chance: f64,
-        truncate_chance: f64,
-        stall_chance: f64,
-        delay_chance: f64,
-        delay_spike: Latency,
-    ) -> Self {
-        FaultInjector {
-            drop_chance: sane(drop_chance),
-            corrupt_chance: sane(corrupt_chance),
-            truncate_chance: sane(truncate_chance),
-            stall_chance: sane(stall_chance),
-            delay_chance: sane(delay_chance),
-            delay_spike,
-        }
-    }
-
     /// True if this injector can never interfere.
     pub fn is_none(&self) -> bool {
         sane(self.drop_chance) == 0.0
@@ -416,18 +395,6 @@ mod tests {
                 for _ in 0..8 {
                     inj.judge(&mut rng);
                 }
-                // clamped() must agree with validated(): it round-trips
-                // through validation for every input.
-                let clamped = FaultInjector::clamped(a, b, c, b, a, Latency::fixed(5));
-                qc_assert!(FaultInjector::validated(
-                    clamped.drop_chance,
-                    clamped.corrupt_chance,
-                    clamped.truncate_chance,
-                    clamped.stall_chance,
-                    clamped.delay_chance,
-                    clamped.delay_spike,
-                )
-                .is_ok());
                 // validated() accepts exactly the in-range values.
                 let ok = FaultInjector::validated(a, b, c, b, a, Latency::fixed(5)).is_ok();
                 let in_range = |p: f64| !p.is_nan() && (0.0..=1.0).contains(&p);

@@ -31,7 +31,6 @@
 pub mod campaign;
 pub mod fault;
 pub mod latency;
-pub mod rate;
 pub mod rng;
 pub mod sched;
 pub mod stats;
@@ -41,7 +40,6 @@ pub mod trace;
 pub use campaign::{FaultCampaign, FaultProfile, FaultRule, FaultScope, FaultTarget};
 pub use fault::{FaultConfigError, FaultInjector, FaultVerdict};
 pub use latency::{Latency, PathLatencies};
-pub use rate::TokenBucket;
 pub use rng::SimRng;
 pub use sched::{EventId, Fired, Scheduler};
 pub use stats::Cdf;

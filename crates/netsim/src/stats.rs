@@ -107,22 +107,6 @@ impl Cdf {
     }
 }
 
-/// Mean of a slice (None if empty).
-pub fn mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        None
-    } else {
-        Some(xs.iter().sum::<f64>() / xs.len() as f64)
-    }
-}
-
-/// Population standard deviation of a slice (None if empty).
-pub fn stddev(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-    Some(var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,13 +150,5 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn rejects_nan() {
         Cdf::new(vec![1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn mean_and_stddev() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
-        let sd = stddev(&[2.0, 4.0]).unwrap();
-        assert!((sd - 1.0).abs() < 1e-12);
     }
 }

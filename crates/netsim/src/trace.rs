@@ -125,11 +125,6 @@ impl TraceLog {
         &self.events
     }
 
-    /// Events of one category, in order.
-    pub fn by_category(&self, cat: TraceCategory) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.category == cat)
-    }
-
     /// Drop all recorded events.
     pub fn clear(&mut self) {
         self.events.clear();
@@ -191,15 +186,6 @@ mod tests {
         assert_eq!(log.events().len(), 2);
         assert_eq!(log.events()[0].detail, "first");
         assert_eq!(log.events()[1].category, TraceCategory::SuperProxy);
-    }
-
-    #[test]
-    fn category_filter_works() {
-        let mut log = TraceLog::enabled();
-        log.record(SimTime::EPOCH, TraceCategory::Dns, "q");
-        log.record(SimTime::EPOCH, TraceCategory::Client, "c");
-        log.record(SimTime::EPOCH, TraceCategory::Dns, "r");
-        assert_eq!(log.by_category(TraceCategory::Dns).count(), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the simulation kernel.
 
-use netsim::{Cdf, Scheduler, SimDuration, SimTime, TokenBucket};
+use netsim::{Cdf, Scheduler, SimDuration, SimTime};
 use substrate::qc::{self, Config, Gen};
 use substrate::{qc_assert, qc_assert_eq};
 
@@ -82,35 +82,6 @@ fn clock_is_monotone() {
                 qc_assert!(f.at >= last);
                 last = f.at;
             }
-            qc::pass()
-        },
-    );
-}
-
-/// Token buckets never oversupply: in any window of N intervals the
-/// grant count is at most (N+1) × capacity.
-#[test]
-fn token_bucket_rate_bound() {
-    qc::check(
-        "token bucket rate bound",
-        &Config::default(),
-        &qc::tuple3(qc::ints(1u64..16), qc::ints(1u64..100), delays(10_000, 300)),
-        |(cap, interval_ms, probes)| {
-            let mut sorted = probes.clone();
-            sorted.sort();
-            let mut bucket = TokenBucket::new(*cap, SimDuration::from_millis(*interval_ms));
-            let mut granted = 0u64;
-            for &t in &sorted {
-                if bucket.try_take(SimTime::from_millis(t), 1) {
-                    granted += 1;
-                }
-            }
-            let span = sorted.last().unwrap() - sorted.first().unwrap();
-            let max_grants = (span / interval_ms + 2) * cap;
-            qc_assert!(
-                granted <= max_grants,
-                "granted {granted} > bound {max_grants}"
-            );
             qc::pass()
         },
     );

@@ -9,9 +9,9 @@
 //! `World::reach_exit`: up to [`MAX_ATTEMPTS`] nodes within
 //! [`DEFAULT_REQUEST_DEADLINE`], each attempt judged against the fault
 //! campaign and recorded in the debug timeline. A GET, a CONNECT and an
-//! SMTP relay (`smtp_flow`) all pass customer admission first and keep
-//! only their own exchange with the exit node; `World::settle` then does
-//! the success bookkeeping they share.
+//! SMTP relay (`smtp_flow`) all keep only their own exchange with the
+//! exit node; `World::settle` then does the success bookkeeping they
+//! share.
 
 use crate::client::{
     Attempt, AttemptOutcome, ChainDamage, ProxyError, ProxyResponse, TimelineDebug, TlsProbeResult,
@@ -151,10 +151,11 @@ impl World {
         at: SimTime,
     ) -> ExitResolve {
         let node = &self.nodes[node_id.0 as usize];
-        let (resolver_src, resolver_hijacker) = match node.resolver {
+        // An NXDOMAIN answer needs only the hijacker's landing address.
+        let (resolver_src, resolver_landing) = match node.resolver {
             ResolverChoice::Isp(ip) | ResolverChoice::Public(ip) => {
-                let hij = self.resolvers.get(&ip).and_then(|def| def.hijacker.clone());
-                (ip, hij)
+                let hijacker = self.resolvers.get(&ip).and_then(|d| d.hijacker.as_ref());
+                (ip, hijacker.map(|h| h.landing_ip))
             }
             ResolverChoice::GoogleDns => (self.google_instance_for(node.country, node_id), None),
         };
@@ -166,11 +167,11 @@ impl World {
             return ExitResolve::Answer(ip);
         }
         // NXDOMAIN: the hijack layers get their chance.
-        if let Some(h) = resolver_hijacker {
+        if let Some(ip) = resolver_landing {
             self.trace.record_with(at, TraceCategory::Middlebox, || {
                 format!("resolver {resolver_src} hijacks NXDOMAIN for {host}")
             });
-            return ExitResolve::Hijacked(h.landing_ip);
+            return ExitResolve::Hijacked(ip);
         }
         if let Some(h) = self.transparent_dns.get(&asn) {
             let ip = h.landing_ip;
@@ -359,7 +360,7 @@ impl World {
     /// The super proxy's attempt loop (§2.3), one for every flow: a GET, a
     /// CONNECT and an SMTP relay each leave the super proxy at `t` and try
     /// up to `max_attempts` exit nodes, the first by session, until the
-    /// 20 s budget counted from admission `t0` is spent. An offline node
+    /// 20 s budget counted from the request's start `t0` is spent. An offline node
     /// draws nothing; an online one has its link judged against the fault
     /// campaign and its own flakiness, and a `Stall` burns the rest of the
     /// budget. Every failed attempt lands in the debug timeline.
@@ -488,7 +489,7 @@ impl World {
         opts: &UsernameOptions,
         url: &Uri,
     ) -> Result<ProxyResponse, ProxyError> {
-        let t0 = self.admit_customer(&opts.customer, self.now());
+        let t0 = self.now();
         let mut rng = self.rng.fork_indexed("latency", t0.as_millis());
         let l = self.latencies;
         self.trace.record_with(t0, TraceCategory::Client, || {
@@ -616,7 +617,7 @@ impl World {
         if port != 443 {
             return Err(ProxyError::PortNotAllowed(port));
         }
-        let t0 = self.admit_customer(&opts.customer, self.now());
+        let t0 = self.now();
         let mut rng = self.rng.fork_indexed("latency-tls", t0.as_millis());
         let l = self.latencies;
         self.trace.record_with(t0, TraceCategory::Client, || {

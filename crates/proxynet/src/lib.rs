@@ -50,4 +50,4 @@ pub use servers::{OriginSite, WebLogEntry, WebServer};
 pub use session::{SessionTable, SESSION_TTL};
 pub use smtp_flow::{MailSite, SmtpProbeResult};
 pub use username::{UsernameError, UsernameOptions};
-pub use world::{EvidenceMark, IspHttp, ResolverDef, ShardEvidence, World};
+pub use world::{IspHttp, ResolverDef, ShardEvidence, World};

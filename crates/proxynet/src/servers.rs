@@ -152,11 +152,17 @@ impl WebServer {
         self.log.extend_from_slice(entries);
     }
 
-    /// Remove and return the log entries from index `from` on (a shard's
-    /// own evidence — see `World::into_evidence`), in a buffer sized to
-    /// them: the evidence carries no spare capacity across the wave.
-    pub fn take_log_tail(&mut self, from: usize) -> Vec<WebLogEntry> {
-        self.log.split_off(from)
+    /// Remove and return the whole log (a shard's evidence — see
+    /// `World::into_evidence`), in a buffer sized to it: the evidence
+    /// carries no spare capacity across the wave.
+    pub fn take_log(&mut self) -> Vec<WebLogEntry> {
+        self.log.split_off(0)
+    }
+
+    /// Swap in `log` and return the old log, moving both buffers without
+    /// copying an entry (see `World::clone_without_evidence`).
+    pub fn replace_log(&mut self, log: Vec<WebLogEntry>) -> Vec<WebLogEntry> {
+        std::mem::replace(&mut self.log, log)
     }
 
     /// Move `entries` onto the end of the log, leaving `entries` empty

@@ -6,9 +6,9 @@
 //! Luminati itself only tunnels port 443; this flow models the
 //! *hypothetical* VPN service the paper sketches: same peer population and
 //! session semantics, but raw TCP to port 25. A relay reaches its exit node
-//! down the attempt path GET and CONNECT take (see `flows`), so customer
-//! admission, retries, the request deadline, the fault campaign and
-//! billing are theirs; only the SMTP conversation is its own. In-path SMTP
+//! down the attempt path GET and CONNECT take (see `flows`), so retries,
+//! the request deadline, the fault campaign and billing are theirs; only
+//! the SMTP conversation is its own. In-path SMTP
 //! interceptors (STARTTLS strippers) operate per access AS, like the other
 //! in-path middleboxes.
 
@@ -98,9 +98,9 @@ impl World {
     /// (STARTTLS if advertised) → QUIT, all through the node's access
     /// network and any interceptor sitting in it.
     ///
-    /// The relay is admitted, retried and billed like a GET or a CONNECT:
-    /// a customer rate limit delays it, its exit link answers to the fault
-    /// campaign within the 20 s request deadline, and a failed relay moves
+    /// The relay is retried and billed like a GET or a CONNECT: its exit
+    /// link answers to the fault campaign within the 20 s request
+    /// deadline, and a failed relay moves
     /// the clock to the client's hang-up. Transport damage to the SMTP
     /// exchange itself is not modelled: corruption and truncation verdicts
     /// deliver intact.
@@ -109,7 +109,7 @@ impl World {
         opts: &UsernameOptions,
         target: Ipv4Addr,
     ) -> Result<SmtpProbeResult, ProxyError> {
-        let t0 = self.admit_customer(&opts.customer, self.now());
+        let t0 = self.now();
         let mut rng = self.rng.fork_indexed("latency-smtp", t0.as_millis());
         let l = self.latencies;
         self.trace.record_with(t0, TraceCategory::Client, || {

@@ -55,19 +55,11 @@ pub(crate) enum WorldEvent {
     ChurnToggle { node: NodeId },
 }
 
-/// Snapshot of how much measurement evidence a world holds, taken with
-/// [`World::evidence_mark`] before cloning shards off it.
-#[derive(Debug, Clone)]
-pub struct EvidenceMark {
-    web_log_len: usize,
-    auth_log_len: usize,
-    bytes_billed: HashMap<String, u64>,
-}
-
-/// The measurement evidence a shard world holds beyond an
-/// [`EvidenceMark`], moved out of it by [`World::into_evidence`] and into
-/// the live world by [`World::absorb_evidence`]: the log entries the shard
-/// added, its billing ledger, and its clock.
+/// The measurement evidence a shard world holds, moved out of it by
+/// [`World::into_evidence`] and into the live world by
+/// [`World::absorb_evidence`]: its server log entries, its billing ledger,
+/// and its clock. A shard is cloned from a base that holds no evidence
+/// ([`World::clone_without_evidence`]), so all of it is the shard's own.
 #[derive(Debug)]
 pub struct ShardEvidence {
     web_log: Vec<crate::WebLogEntry>,
@@ -79,12 +71,15 @@ pub struct ShardEvidence {
 /// The simulated Internet plus the measurement infrastructure.
 ///
 /// `Clone` snapshots the world — clock, pending events, RNG state, every
-/// server log. The parallel study executor clones one world per shard so
-/// disjoint node populations can be probed concurrently. Each shard task
-/// then turns its world into the evidence it produced
-/// ([`World::into_evidence`]), dropping the rest of the world where it
-/// ran, and the executor moves that evidence into the live world with
-/// [`World::absorb_evidence`] — log entries are allocated once, in the
+/// server log. The parallel study executor instead takes one base with
+/// [`World::clone_without_evidence`] (everything but the server logs and
+/// the billing ledger) and clones one shard world per task from it, so
+/// disjoint node populations can be probed concurrently and no shard
+/// copies the evidence earlier studies left. Each shard task then turns
+/// its world into the evidence it holds ([`World::into_evidence`]) —
+/// all of it its own — dropping the rest of the world where it ran, and
+/// the executor moves that evidence into the live world with
+/// [`World::absorb_evidence`]: log entries are allocated once, in the
 /// shard, and never cloned on the way back.
 ///
 /// ## Shared-immutable sections (the overlay contract)
@@ -93,10 +88,11 @@ pub struct ShardEvidence {
 /// rankings, the node population, routing pools, resolver/middlebox/origin
 /// directories, the root store — is held behind `Arc` and **shared** between
 /// a world and its clones; only the small mutable overlay (scheduler, RNG,
-/// server logs, sessions, caches, billing) is deep-copied. A
-/// shard clone is therefore a handful of reference-count bumps rather than
-/// tens of millions of allocations (this removed a 1.7× *slow-down* at 8
-/// workers — see DESIGN.md's bench section). The sharing is copy-on-write:
+/// server logs, sessions, caches, billing) is deep-copied, and a shard's
+/// base has no logs or billing to copy. A shard clone is therefore a
+/// handful of reference-count bumps rather than tens of millions of
+/// allocations (this removed a 1.7× *slow-down* at 8 workers — see
+/// DESIGN.md's bench section). The sharing is copy-on-write:
 /// every mutator goes through [`Arc::make_mut`], so a world that does write
 /// a shared section (worldgen wiring, churn toggles, per-node TLS
 /// interceptor state) privately unshares exactly that section first —
@@ -154,8 +150,6 @@ pub struct World {
     pub(crate) sessions: SessionTable,
     pub(crate) resolver_caches: HashMap<Ipv4Addr, dnswire::DnsCache>,
     pub(crate) resolver_caching: bool,
-    pub(crate) customer_rate: Option<(u64, SimDuration)>,
-    pub(crate) customer_buckets: HashMap<String, netsim::TokenBucket>,
     pub(crate) max_attempts: usize,
     pub(crate) churn_mean: Option<SimDuration>,
     pub(crate) smtp: crate::smtp_flow::SmtpPlane,
@@ -218,8 +212,6 @@ impl World {
             sessions: SessionTable::new(),
             resolver_caches: HashMap::new(),
             resolver_caching: true,
-            customer_rate: None,
-            customer_buckets: HashMap::new(),
             max_attempts: crate::flows::MAX_ATTEMPTS,
             churn_mean: None,
             smtp: crate::smtp_flow::SmtpPlane::default(),
@@ -314,34 +306,6 @@ impl World {
     /// sessions — the d1/d2 methodology depends on them).
     pub fn set_session_ttl(&mut self, ttl: SimDuration) {
         self.sessions.set_ttl(ttl);
-    }
-
-    /// Rate-limit each customer at the super proxy: at most `requests`
-    /// per `interval` (commercial proxy services throttle exactly like
-    /// this). Requests over the limit are not rejected but delayed to the
-    /// next bucket refill — visible as virtual-time stretch.
-    pub fn set_customer_rate_limit(&mut self, requests: u64, interval: SimDuration) {
-        self.customer_rate = Some((requests, interval));
-        self.customer_buckets.clear();
-    }
-
-    /// When rate limiting is active, the virtual time at which `customer`'s
-    /// next request may proceed (consuming one token). `now` otherwise.
-    pub(crate) fn admit_customer(&mut self, customer: &str, now: SimTime) -> SimTime {
-        let Some((cap, interval)) = self.customer_rate else {
-            return now;
-        };
-        let bucket = self
-            .customer_buckets
-            .entry(customer.to_string())
-            .or_insert_with(|| netsim::TokenBucket::new(cap, interval));
-        if bucket.try_take(now, 1) {
-            return now;
-        }
-        let at = bucket.next_available(now, 1).expect("capacity >= 1");
-        let ok = bucket.try_take(at, 1);
-        debug_assert!(ok, "token available at the refill boundary");
-        at
     }
 
     /// Enable or disable resolver caching (on by default; disabling it is
@@ -630,26 +594,33 @@ impl World {
 
     // -- shard evidence merging (parallel study executor) --------------------
 
-    /// A marker taken *before* cloning this world into shards, recording how
-    /// much measurement evidence already exists. [`World::into_evidence`]
-    /// uses it to take only what a shard added.
-    pub fn evidence_mark(&self) -> EvidenceMark {
-        EvidenceMark {
-            web_log_len: self.web_server.log().len(),
-            auth_log_len: self.auth_server.log().len(),
-            bytes_billed: self.bytes_billed.clone(),
-        }
+    /// Clone everything but the measurement evidence: the returned world
+    /// has empty server logs and an empty billing ledger. The parallel
+    /// study executor clones its shards from such a base, so everything a
+    /// shard holds when it finishes is its own evidence.
+    ///
+    /// The logs and the ledger are moved out of `self` for the clone and
+    /// moved back after it, so none of them is copied and `self` keeps them
+    /// in the same buffers.
+    pub fn clone_without_evidence(&mut self) -> World {
+        let web_log = self.web_server.replace_log(Vec::new());
+        let auth_log = self.auth_server.replace_log(Vec::new());
+        let bytes_billed = std::mem::take(&mut self.bytes_billed);
+        let base = self.clone();
+        self.web_server.replace_log(web_log);
+        self.auth_server.replace_log(auth_log);
+        self.bytes_billed = bytes_billed;
+        base
     }
 
     /// Consume a shard world, keeping only the measurement evidence it
-    /// holds beyond `mark` (the mark it was forked under): the web-server
-    /// and authoritative-DNS log entries past the mark, the billing ledger,
-    /// and the clock. Everything else — sessions, caches, the overlay — is
-    /// dropped here, on the thread that ran the shard.
-    pub fn into_evidence(mut self, mark: &EvidenceMark) -> ShardEvidence {
+    /// holds: the web-server and authoritative-DNS logs, the billing
+    /// ledger, and the clock. Everything else — sessions, caches, the
+    /// overlay — is dropped here, on the thread that ran the shard.
+    pub fn into_evidence(mut self) -> ShardEvidence {
         ShardEvidence {
-            web_log: self.web_server.take_log_tail(mark.web_log_len),
-            auth_log: self.auth_server.take_log_tail(mark.auth_log_len),
+            web_log: self.web_server.take_log(),
+            auth_log: self.auth_server.take_log(),
             bytes_billed: std::mem::take(&mut self.bytes_billed),
             now: self.now(),
         }
@@ -658,24 +629,18 @@ impl World {
     /// Merge the measurement evidence a shard produced back into this world:
     /// its log entries are moved onto the end of the web-server and
     /// authoritative-DNS logs (callers absorb shards in shard order, so the
-    /// merged logs are deterministic), per-customer billing deltas against
-    /// `mark` are added, and the clock advances to the shard's finish time
-    /// if it is ahead (firing any events due in between).
+    /// merged logs are deterministic), its per-customer billing is added,
+    /// and the clock advances to the shard's finish time if it is ahead
+    /// (firing any events due in between).
     ///
     /// Only *evidence* merges; shard-local control state (sessions, resolver
     /// caches, zone provisioning) stays in the shard, exactly as a real
     /// measurement backend only ever sees its servers' logs and the bill.
-    pub fn absorb_evidence(&mut self, mut shard: ShardEvidence, mark: &EvidenceMark) {
+    pub fn absorb_evidence(&mut self, mut shard: ShardEvidence) {
         self.web_server.append_log(&mut shard.web_log);
         self.auth_server.append_log(&mut shard.auth_log);
         for (customer, billed) in shard.bytes_billed {
-            let base = mark.bytes_billed.get(&customer).copied().unwrap_or(0);
-            let delta = billed
-                .checked_sub(base)
-                .expect("shard billing went backwards");
-            if delta > 0 {
-                *self.bytes_billed.entry(customer).or_insert(0) += delta;
-            }
+            *self.bytes_billed.entry(customer).or_insert(0) += billed;
         }
         if let Some(ahead) = shard.now.checked_since(self.now()) {
             if !ahead.is_zero() {
@@ -686,32 +651,17 @@ impl World {
 
     // -- checkpoint/restore support (tft-core crash recovery) ----------------
 
-    /// Web-server log entries recorded after `mark` was taken.
-    pub fn web_log_since<'a>(&'a self, mark: &EvidenceMark) -> &'a [crate::WebLogEntry] {
-        &self.web_server.log()[mark.web_log_len..]
-    }
-
-    /// Authoritative-DNS log entries recorded after `mark` was taken.
-    pub fn auth_log_since<'a>(&'a self, mark: &EvidenceMark) -> &'a [dnswire::QueryLogEntry] {
-        &self.auth_server.log()[mark.auth_log_len..]
-    }
-
-    /// Per-customer billing accrued since `mark`, in canonical (sorted
-    /// customer) order.
-    pub fn billing_delta(&self, mark: &EvidenceMark) -> Vec<(String, u64)> {
-        let mut deltas: Vec<(String, u64)> = self
+    /// Per-customer billing, in canonical (sorted customer) order, leaving
+    /// out customers billed nothing.
+    pub fn billing(&self) -> Vec<(String, u64)> {
+        let mut billing: Vec<(String, u64)> = self
             .bytes_billed
             .iter()
-            .filter_map(|(customer, &billed)| {
-                let base = mark.bytes_billed.get(customer).copied().unwrap_or(0);
-                let delta = billed
-                    .checked_sub(base)
-                    .expect("billing went backwards since mark");
-                (delta > 0).then(|| (customer.clone(), delta))
-            })
+            .filter(|(_, &billed)| billed > 0)
+            .map(|(customer, &billed)| (customer.clone(), billed))
             .collect();
-        deltas.sort();
-        deltas
+        billing.sort();
+        billing
     }
 
     /// Fingerprint of the world RNG's stream position: the next value the
@@ -740,8 +690,8 @@ impl World {
     }
 
     /// Splice checkpointed evidence into a freshly rebuilt world (the
-    /// restore path): append recorded server-log entries and add billing
-    /// deltas. The caller is responsible for having advanced the clock to
+    /// restore path): append recorded server-log entries and add recorded
+    /// billing. The caller is responsible for having advanced the clock to
     /// the checkpoint time first and for feeding entries in canonical
     /// (experiment-major) order — this is the same append discipline as
     /// [`World::absorb_evidence`], sourced from a borrowed checkpoint
@@ -754,10 +704,8 @@ impl World {
     ) {
         self.web_server.absorb_log(web);
         self.auth_server.absorb_log(auth);
-        for (customer, delta) in billing {
-            if *delta > 0 {
-                *self.bytes_billed.entry(customer.clone()).or_insert(0) += delta;
-            }
+        for (customer, billed) in billing {
+            *self.bytes_billed.entry(customer.clone()).or_insert(0) += billed;
         }
     }
 

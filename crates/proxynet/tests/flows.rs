@@ -421,8 +421,8 @@ fn tls_interception_replaces_chain_only_on_infected_nodes() {
 }
 
 #[test]
-fn moved_shard_evidence_matches_cloned_tails_past_a_nonzero_mark() {
-    // The live world already holds evidence, so the mark is not zero.
+fn shards_cloned_without_evidence_hand_back_all_of_theirs() {
+    // The live world already holds evidence, as it does after a study.
     let mut live = mini_world().world;
     let (d1, _) = provision_probe_pair(&mut live, "live");
     let opts = UsernameOptions::new("lab").country(cc("US")).session(1);
@@ -432,10 +432,35 @@ fn moved_shard_evidence_matches_cloned_tails_past_a_nonzero_mark() {
     assert!(live.bytes_billed("lab") > 0);
     assert!(live.is_idle(), "advancing the live clock must fire nothing");
 
-    let mark = live.evidence_mark();
+    let (web_live, auth_live) = (
+        live.web_server().log().to_vec(),
+        live.auth_server().log().to_vec(),
+    );
+    let lab_live = live.bytes_billed("lab");
+    let buffers = (
+        live.web_server().log().as_ptr(),
+        live.auth_server().log().as_ptr(),
+    );
+    let base = live.clone_without_evidence();
+    assert!(base.web_server().log().is_empty());
+    assert!(base.auth_server().log().is_empty());
+    assert_eq!(base.bytes_billed("lab"), 0);
+    assert_eq!(base.now(), live.now());
+    assert_eq!(
+        (
+            live.web_server().log().as_ptr(),
+            live.auth_server().log().as_ptr()
+        ),
+        buffers,
+        "the live logs move out and back, never copied"
+    );
+    assert_eq!(live.web_server().log(), web_live.as_slice());
+    assert_eq!(live.auth_server().log(), auth_live.as_slice());
+    assert_eq!(live.bytes_billed("lab"), lab_live);
+
     let mut forks = Vec::new();
     for (k, country) in ["US", "MY"].into_iter().enumerate() {
-        let mut fork = live.clone();
+        let mut fork = base.clone();
         let (d1, _) = provision_probe_pair(&mut fork, &format!("fork{k}"));
         for session in 0..=k as u64 {
             let opts = UsernameOptions::new("lab")
@@ -452,32 +477,27 @@ fn moved_shard_evidence_matches_cloned_tails_past_a_nonzero_mark() {
             // move the clock back.
             fork.advance(SimDuration::from_secs(90));
         }
-        assert!(!fork.web_log_since(&mark).is_empty());
-        assert!(!fork.auth_log_since(&mark).is_empty());
+        assert!(!fork.web_server().log().is_empty());
+        assert!(!fork.auth_server().log().is_empty());
         forks.push(fork);
     }
 
-    // The expected state, built by cloning each fork's tail past the mark.
-    let mut web = live.web_server().log().to_vec();
-    let mut auth = live.auth_server().log().to_vec();
+    // The expected state: the live logs, then each fork's whole logs.
+    let (mut web, mut auth) = (web_live, auth_live);
     for fork in &forks {
-        web.extend_from_slice(fork.web_log_since(&mark));
-        auth.extend_from_slice(fork.auth_log_since(&mark));
+        web.extend_from_slice(fork.web_server().log());
+        auth.extend_from_slice(fork.auth_server().log());
     }
     let billed = |customer: &str| {
-        let base = live.bytes_billed(customer);
-        base + forks
-            .iter()
-            .map(|f| f.bytes_billed(customer) - base)
-            .sum::<u64>()
+        live.bytes_billed(customer) + forks.iter().map(|f| f.bytes_billed(customer)).sum::<u64>()
     };
     let (lab, other) = (billed("lab"), billed("other"));
-    assert!(other > 0);
+    assert!(lab > lab_live && other > 0);
     let latest = forks.iter().map(World::now).max().unwrap();
     assert_eq!(latest, forks[0].now());
 
     for fork in forks {
-        live.absorb_evidence(fork.into_evidence(&mark), &mark);
+        live.absorb_evidence(fork.into_evidence());
     }
     assert_eq!(live.web_server().log(), web.as_slice());
     assert_eq!(live.auth_server().log(), auth.as_slice());

@@ -11,11 +11,11 @@
 //! ## Why restore is exact
 //!
 //! A stage-boundary driver in a standard (churn-free) study holds a very
-//! particular world: the pristine study-start snapshot plus (a) a clock
-//! advanced by absorbed shard time, (b) appended web/auth server-log
-//! entries, and (c) billing deltas. All stage randomness comes from
-//! per-shard forked RNGs derived from the study-start clock
-//! (`ProbeScope::rng` in `exec`) — the live world's own RNG stream is
+//! particular world: the pristine study-start snapshot, which holds no
+//! evidence, plus (a) a clock advanced by absorbed shard time, (b)
+//! appended web/auth server-log entries, and (c) billing. All stage
+//! randomness comes from per-shard forked RNGs derived from the study-start
+//! clock (`ProbeScope::rng` in `exec`) — the live world's own RNG stream is
 //! never consumed, its scheduler holds no pending events (monitor refetches
 //! fire inside shard worlds), and its session table stays empty. So restore
 //! is: rebuild the snapshot from the spec, advance the clock (which fires
@@ -70,11 +70,12 @@ pub struct StudyCheckpoint {
     pub rng_fingerprint: u64,
     /// Pinned live-session count (see [`World::session_watermark`]).
     pub session_watermark: u64,
-    /// Web-server log entries absorbed since study start.
+    /// The live world's web-server log: for a spec-built world, every
+    /// entry absorbed since study start.
     pub web_log: Vec<WebLogEntry>,
-    /// Authoritative-DNS log entries absorbed since study start.
+    /// The live world's authoritative-DNS log, likewise.
     pub auth_log: Vec<QueryLogEntry>,
-    /// Per-customer billing deltas since study start, sorted by customer.
+    /// The live world's per-customer billing ([`World::billing`]).
     pub billing: Vec<(String, u64)>,
     /// Completed DNS stage output, if that stage has run.
     pub dns_data: Option<DnsDataset>,
@@ -192,7 +193,6 @@ impl StudyDriver {
         if !self.world.is_idle() {
             return Err(CheckpointError::PendingEvents);
         }
-        let mark = self.base.evidence_mark();
         Ok(StudyCheckpoint {
             version: CHECKPOINT_VERSION,
             spec: spec.clone(),
@@ -202,9 +202,9 @@ impl StudyDriver {
             next: self.next,
             rng_fingerprint: self.world.rng_fingerprint(),
             session_watermark: self.world.session_watermark(),
-            web_log: self.world.web_log_since(&mark).to_vec(),
-            auth_log: self.world.auth_log_since(&mark).to_vec(),
-            billing: self.world.billing_delta(&mark),
+            web_log: self.world.web_server().log().to_vec(),
+            auth_log: self.world.auth_server().log().to_vec(),
+            billing: self.world.billing(),
             dns_data: self.dns_data.clone(),
             http_data: self.http_data.clone(),
             https_data: self.https_data.clone(),
@@ -250,8 +250,8 @@ impl StudyDriver {
                 found: pristine.now(),
             });
         }
-        let base = pristine;
-        let mut world = base.clone();
+        let mut world = pristine;
+        let base = world.clone_without_evidence();
         // Advance the clock to the checkpointed boundary. The scheduler is
         // idle (checked above), so this moves time and fires nothing —
         // exactly the state the interrupted driver's world was in.

@@ -24,7 +24,6 @@ pub struct Sampler {
     window: VecDeque<bool>,
     window_size: usize,
     min_new: usize,
-    samples_issued: usize,
 }
 
 impl Sampler {
@@ -60,7 +59,6 @@ impl Sampler {
             window: VecDeque::new(),
             window_size,
             min_new,
-            samples_issued: 0,
         }
     }
 
@@ -78,7 +76,6 @@ impl Sampler {
         let idx = self.cumulative.partition_point(|&c| c <= x);
         let session = self.next_session;
         self.next_session += 1;
-        self.samples_issued += 1;
         (self.countries[idx], session)
     }
 
@@ -106,19 +103,9 @@ impl Sampler {
             && self.window.iter().filter(|&&b| b).count() < self.min_new
     }
 
-    /// Whether this zID has been seen before.
-    pub fn seen(&self, zid: &ZId) -> bool {
-        self.seen.contains(zid)
-    }
-
     /// Unique nodes discovered.
     pub fn unique_nodes(&self) -> usize {
         self.seen.len()
-    }
-
-    /// Total probes issued.
-    pub fn samples_issued(&self) -> usize {
-        self.samples_issued
     }
 }
 

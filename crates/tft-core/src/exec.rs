@@ -12,10 +12,13 @@
 //!   datasets have no cross-shard interference.
 //! - Each (experiment × shard) pair runs on its own fork of the
 //!   study-start [`World`] snapshot, drawing every random decision from a
-//!   label-forked [`netsim::SimRng`] (`fork_indexed("shard", k)`). Seeds
-//!   derive from the study-start clock, a per-experiment salt, and the
-//!   shard index only — never from thread identity — so the worker count
-//!   of the underlying [`substrate::pool`] is a pure throughput knob.
+//!   label-forked [`netsim::SimRng`] (`fork_indexed("shard", k)`). The
+//!   snapshot holds no evidence ([`World::clone_without_evidence`]), so a
+//!   shard never copies the logs of earlier studies, and everything it
+//!   holds when it finishes is its own evidence. Seeds derive from the
+//!   study-start clock, a per-experiment salt, and the shard index only —
+//!   never from thread identity — so the worker count of the underlying
+//!   [`substrate::pool`] is a pure throughput knob.
 //!   Forks are cheap: the world's bulk data sits behind shared `Arc`s and
 //!   copies on first write, so a shard pays only for what it mutates.
 //! - All experiments of a study flow through **one work queue**
@@ -30,8 +33,8 @@
 //! - Shard results are merged in canonical experiment-major / shard-minor
 //!   order (shard evidence in task order, observations re-sorted by zID /
 //!   probe key), so `render_tables` and every golden are bit-identical at
-//!   any worker count. A task returns its evidence, not its fork, so the
-//!   merge moves log entries instead of cloning them.
+//!   any worker count. A task returns all of its fork's evidence, not the
+//!   fork, so the merge moves log entries instead of cloning them.
 //! - A shard task is a pure function of its experiment, shard index, and
 //!   country plan over the shared snapshot, so a retry could only repeat a
 //!   failure. A task panic is a bug: [`substrate::pool::Pool::run`]
@@ -48,7 +51,7 @@ use crate::obs::{DnsDataset, HttpDataset, HttpsDataset, MonitorDataset};
 use crate::{dns_exp, http_exp, https_exp, monitor_exp};
 use inetdb::CountryCode;
 use netsim::SimRng;
-use proxynet::{EvidenceMark, World};
+use proxynet::World;
 use substrate::pool;
 
 /// Number of population shards the study plan splits each experiment into.
@@ -196,14 +199,14 @@ pub(crate) enum ExpData {
 }
 
 /// Run `exp` on its own, the way the study runs it: a one-experiment wave
-/// forked from `world` at the machine's default worker count, absorbed
-/// back into `world`. The public `*_exp::run` entry points are this call,
-/// so a standalone run returns the study's dataset for the same world.
+/// forked from `world` without its evidence, at the machine's default
+/// worker count, absorbed back into `world`. The public `*_exp::run` entry
+/// points are this call, so a standalone run returns the study's dataset
+/// for the same world.
 pub(crate) fn run_alone(world: &mut World, cfg: &StudyConfig, exp: Experiment) -> ExpData {
-    let base = world.clone();
-    let mark = world.evidence_mark();
+    let base = world.clone_without_evidence();
     let workers = ExecOptions::default().workers;
-    run_wave(world, &base, &mark, cfg, workers, &[exp], false)
+    run_wave(world, &base, cfg, workers, &[exp], false)
         .pop()
         .expect("run_wave returns one dataset per requested experiment")
 }
@@ -211,11 +214,13 @@ pub(crate) fn run_alone(world: &mut World, cfg: &StudyConfig, exp: Experiment) -
 /// Run `experiments` (each named at most once) as **one wave**: every
 /// (experiment × shard) pair becomes a task in a single work queue, all
 /// forked from the same study-start snapshot `base`, and the results are
-/// absorbed into `live` in canonical experiment-major / shard-minor order
-/// against `mark`. Returns one merged dataset per experiment, in order.
+/// absorbed into `live` in canonical experiment-major / shard-minor order.
+/// Returns one merged dataset per experiment, in order.
 ///
-/// A task hands back its dataset and the evidence its fork produced
-/// ([`World::into_evidence`]), not the fork itself: the shard world is
+/// `base` must hold no evidence (take it with
+/// [`World::clone_without_evidence`]): a task hands back its dataset and
+/// every log entry and billed byte its fork holds
+/// ([`World::into_evidence`]), not the fork itself. The shard world is
 /// dropped on the worker that ran it, so a wave holds at most `workers`
 /// shard worlds at once, and the merge moves log entries into `live`
 /// without cloning them.
@@ -244,7 +249,6 @@ pub(crate) fn run_alone(world: &mut World, cfg: &StudyConfig, exp: Experiment) -
 pub(crate) fn run_wave(
     live: &mut World,
     base: &World,
-    mark: &EvidenceMark,
     cfg: &StudyConfig,
     workers: usize,
     experiments: &[Experiment],
@@ -275,7 +279,7 @@ pub(crate) fn run_wave(
             Experiment::Https => ExpData::Https(https_exp::run_shard(world, cfg, scope)),
             Experiment::Monitor => ExpData::Monitor(monitor_exp::run_shard(world, cfg, scope)),
         };
-        (data, shard_world.into_evidence(mark))
+        (data, shard_world.into_evidence())
     });
 
     // Absorb in task order (experiment-major, shard-minor) — the same
@@ -284,7 +288,7 @@ pub(crate) fn run_wave(
     // each experiment's shard datasets in shard order.
     let (mut dns, mut http, mut https, mut monitor) = (vec![], vec![], vec![], vec![]);
     for (data, evidence) in finished {
-        live.absorb_evidence(evidence, mark);
+        live.absorb_evidence(evidence);
         match data {
             ExpData::Dns(d) => dns.push(d),
             ExpData::Http(d) => http.push(d),
@@ -477,9 +481,8 @@ mod tests {
         ];
         let run = |workers: usize, deep_fork: bool| {
             let mut world = worldgen::build(&worldgen::smoke_spec(7)).world;
-            let base = world.clone();
-            let mark = world.evidence_mark();
-            let out = run_wave(&mut world, &base, &mark, &cfg, workers, &all, deep_fork);
+            let base = world.clone_without_evidence();
+            let out = run_wave(&mut world, &base, &cfg, workers, &all, deep_fork);
             let data: Vec<String> = out
                 .iter()
                 .map(|d| match d {

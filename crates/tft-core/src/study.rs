@@ -162,8 +162,9 @@ impl StudyStage {
 /// change a byte. The equivalence is pinned by a test.
 pub struct StudyDriver {
     pub(crate) world: World,
-    /// The study-start snapshot every experiment's shards fork from; its
-    /// [`World::evidence_mark`] is where absorbed shard evidence starts.
+    /// The study-start snapshot every experiment's shards fork from, taken
+    /// with [`World::clone_without_evidence`]: it holds no server logs and
+    /// no billing, so each shard hands back only evidence of its own.
     pub(crate) base: World,
     pub(crate) cfg: StudyConfig,
     pub(crate) workers: usize,
@@ -180,10 +181,10 @@ impl StudyDriver {
     /// Start a driver over `world`. No work happens until
     /// [`step`](StudyDriver::step) or
     /// [`run_to_completion`](StudyDriver::run_to_completion) is called.
-    pub fn new(world: World, cfg: StudyConfig, exec_opts: &ExecOptions) -> StudyDriver {
+    pub fn new(mut world: World, cfg: StudyConfig, exec_opts: &ExecOptions) -> StudyDriver {
         StudyDriver {
             started: world.now(),
-            base: world.clone(),
+            base: world.clone_without_evidence(),
             world,
             cfg,
             workers: exec_opts.workers,
@@ -247,11 +248,9 @@ impl StudyDriver {
         if pending.is_empty() {
             return;
         }
-        let mark = self.base.evidence_mark();
         let wave = exec::run_wave(
             &mut self.world,
             &self.base,
-            &mark,
             &self.cfg,
             self.workers,
             &pending,

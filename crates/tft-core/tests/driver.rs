@@ -4,7 +4,10 @@
 
 use tft_core::dns_exp::{self, DnsExpOptions};
 use tft_core::{http_exp, https_exp, monitor_exp};
-use tft_core::{render_tables, run_study_with, ExecOptions, StudyConfig, StudyDriver, StudyStage};
+use tft_core::{
+    render_tables, run_study, run_study_with, score_report, ExecOptions, StudyConfig, StudyDriver,
+    StudyStage,
+};
 use worldgen::{build, smoke_spec};
 
 const SEED: u64 = 0x5E4E;
@@ -135,4 +138,28 @@ fn into_parts_before_completion_panics() {
     let built = build(&smoke_spec(SEED));
     let driver = StudyDriver::new(built.world, smoke_cfg(), &ExecOptions::with_workers(1));
     let _ = driver.into_parts();
+}
+
+/// A study on a world that already holds one sees only its own evidence.
+/// Probe names repeat from study to study, so a shard that still held the
+/// first study's web log would read its requests as refetches and flag
+/// clean nodes as monitored.
+#[test]
+fn a_second_study_on_one_world_flags_no_clean_node() {
+    let mut built = build(&smoke_spec(SEED));
+    let cfg = smoke_cfg();
+    for study in 1..=2 {
+        let report = run_study(&mut built.world, &cfg);
+        let card = score_report(&report, &built.truth);
+        for (experiment, score) in [
+            ("dns", card.dns),
+            ("https", card.https),
+            ("monitoring", card.monitor),
+        ] {
+            assert_eq!(
+                score.false_positives, 0,
+                "study {study}: {experiment} flagged clean nodes ({score})"
+            );
+        }
+    }
 }

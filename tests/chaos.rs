@@ -9,7 +9,7 @@
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
-use tft::netsim::{FaultCampaign, FaultInjector, FaultProfile, FaultRule, FaultScope, SimDuration};
+use tft::netsim::{FaultCampaign, FaultInjector, FaultProfile, FaultRule, FaultScope};
 use tft::prelude::*;
 use tft::proxynet::{AttemptOutcome, DEFAULT_REQUEST_DEADLINE};
 use tft::tft_core::obs::DnsOutcome;
@@ -209,8 +209,6 @@ enum Case {
     Outage,
     /// Every exit link stalls.
     Stall,
-    /// One request per customer per 60 s.
-    RateLimit,
     /// The target address has no listener (CONNECT and SMTP only).
     NoListener,
 }
@@ -231,7 +229,6 @@ fn check_flow(case: Case, flow: Flow) -> Result<(), String> {
             stall_chance: 1.0,
             ..FaultInjector::none()
         })),
-        Case::RateLimit => world.set_customer_rate_limit(1, SimDuration::from_secs(60)),
         Case::NoListener => {
             to.connect = NO_LISTENER;
             to.smtp = NO_LISTENER;
@@ -239,12 +236,6 @@ fn check_flow(case: Case, flow: Flow) -> Result<(), String> {
     }
     world.set_tracing(true);
     let opts = UsernameOptions::new("parity").session(1);
-    if case == Case::RateLimit {
-        // Buckets refill at whole intervals counted from the epoch: start on
-        // a boundary, so the second request owes a whole interval.
-        let into = world.now().as_millis() % 60_000;
-        world.advance(SimDuration::from_millis((60_000 - into) % 60_000));
-    }
     let start = world.now();
     let got = flow.send(world, &opts, &to);
     let end = world.now();
@@ -272,21 +263,8 @@ fn check_flow(case: Case, flow: Flow) -> Result<(), String> {
         (Case::Stall, Err(ProxyError::DeadlineExceeded(_))) => {
             if end < start + DEFAULT_REQUEST_DEADLINE {
                 return Err(format!(
-                    "gave up {} after admission, before the deadline",
+                    "gave up {} after the request started, before the deadline",
                     end.since(start)
-                ));
-            }
-        }
-        (Case::RateLimit, Ok(_)) => {
-            world.clear_trace();
-            if let Err(e) = flow.send(world, &opts, &to) {
-                return Err(format!("second request failed: {e:?}"));
-            }
-            let second = world.trace().events()[0].at;
-            if second < start + SimDuration::from_secs(60) {
-                return Err(format!(
-                    "second request started {} after the first",
-                    second.since(start)
                 ));
             }
         }
@@ -304,12 +282,12 @@ fn check_flow(case: Case, flow: Flow) -> Result<(), String> {
 const NO_LISTENER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
 /// A GET, a CONNECT and an SMTP relay share one attempt path: the same
-/// outage, stall, rate limit or missing listener ends each the same way,
+/// outage, stall or missing listener ends each the same way,
 /// with the clock where the client stops waiting.
 #[test]
 fn every_flow_takes_the_same_attempt_path() {
     let mut failures = Vec::new();
-    for case in [Case::Outage, Case::Stall, Case::RateLimit, Case::NoListener] {
+    for case in [Case::Outage, Case::Stall, Case::NoListener] {
         for flow in [Flow::Get, Flow::Connect, Flow::Smtp] {
             if case == Case::NoListener && matches!(flow, Flow::Get) {
                 continue;
