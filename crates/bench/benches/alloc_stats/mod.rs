@@ -1,6 +1,6 @@
 //! Shared allocation instrumentation for the study benches (`parallel`,
 //! `fullscale`): a counting `#[global_allocator]` with a live-bytes
-//! high-water mark and a pool-setup pause window.
+//! high-water mark.
 //!
 //! ## The observer effect, and why counting is gated
 //!
@@ -28,16 +28,15 @@
 //! maxima). Memory allocated before the window opens and freed inside it
 //! only pushes shards *down*, so it never inflates the bound.
 //!
-//! ## The pool-setup pause window
+//! ## What the window includes
 //!
-//! `substrate::pool::Pool::run` builds its slot vectors and spawns worker
-//! threads on the calling thread; that scaffolding scales with the worker
-//! knob while the study's own work does not. [`install_pool_observer`]
-//! registers enter/exit hooks that flip a calling-thread-local `PAUSED`
-//! flag, excluding pool-internal setup from the accounting window — so
-//! `alloc_events_workers{N}` measures the executor's work, which *is*
-//! worker-count-invariant, instead of drifting upward with N by a few
-//! hundred slot/spawn allocations.
+//! Everything allocated while counting is on, the worker pool's own
+//! allocations included: `substrate::pool::par_map` spawns its worker
+//! threads and grows one result list per worker, which scales with the
+//! worker knob while the study's work does not. So
+//! `alloc_events_workers{N}` drifts upward with N by a few hundred events
+//! out of tens of millions. At workers 1 the pool runs inline and spawns
+//! nothing, which is why the pinned figures come from that run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,10 +82,6 @@ std::thread_local! {
     /// Const-initialized `Cell` so the TLS access itself never allocates
     /// (the allocator must not re-enter itself).
     static MY_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-
-    /// Calling-thread pause flag: while set, this thread's allocator
-    /// activity is invisible to the accounting (see module docs).
-    static PAUSED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// This thread's shard, assigning one on first use.
@@ -105,9 +100,6 @@ fn my_shard() -> &'static Shard {
 /// Record an allocation event growing live bytes by `grow`.
 #[inline]
 fn record_event(grow: i64) {
-    if PAUSED.with(Cell::get) {
-        return;
-    }
     let shard = my_shard();
     shard.events.fetch_add(1, Ordering::Relaxed);
     let now = shard
@@ -120,9 +112,6 @@ fn record_event(grow: i64) {
 /// Record a free shrinking live bytes by `bytes` (not an event).
 #[inline]
 fn record_free(bytes: i64) {
-    if PAUSED.with(Cell::get) {
-        return;
-    }
     my_shard().live.fetch_sub(bytes, Ordering::Relaxed);
 }
 
@@ -160,21 +149,6 @@ pub fn reset() {
         c.live.store(0, Ordering::Relaxed);
         c.peak.store(0, Ordering::Relaxed);
     }
-}
-
-fn pause_enter() {
-    PAUSED.with(|p| p.set(true));
-}
-
-fn pause_exit() {
-    PAUSED.with(|p| p.set(false));
-}
-
-/// Register the pool setup observer so pool-internal scaffolding falls
-/// outside the accounting window. Call once before the first counted run;
-/// returns false if an observer was already registered (first wins).
-pub fn install_pool_observer() -> bool {
-    substrate::pool::set_setup_observer(pause_enter, pause_exit)
 }
 
 /// `System` with the gated, sharded accounting described in the module

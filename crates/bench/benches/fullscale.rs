@@ -133,7 +133,6 @@ fn sweep(h: &mut Harness, label: &str, scale: f64, seed: u64) {
 
 fn main() {
     let mut h = Harness::new("fullscale");
-    alloc_stats::install_pool_observer();
     // Smoke scale: unconditional, so every CI pass proves this binary and
     // the identity assertion still work.
     sweep(&mut h, "smoke", 0.02, 0xF011);

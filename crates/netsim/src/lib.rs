@@ -41,7 +41,7 @@ pub use campaign::{FaultCampaign, FaultProfile, FaultRule, FaultScope, FaultTarg
 pub use fault::{FaultConfigError, FaultInjector, FaultVerdict};
 pub use latency::{Latency, PathLatencies};
 pub use rng::SimRng;
-pub use sched::{EventId, Fired, Scheduler};
+pub use sched::{Fired, Scheduler};
 pub use stats::Cdf;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceCategory, TraceEvent, TraceLog};

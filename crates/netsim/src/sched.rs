@@ -8,15 +8,10 @@ use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Identifier handed back by [`Scheduler::schedule`], usable to cancel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
 #[derive(Clone)]
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    id: EventId,
     payload: E,
 }
 
@@ -59,9 +54,7 @@ pub struct Fired<E> {
 pub struct Scheduler<E> {
     now: SimTime,
     seq: u64,
-    next_id: u64,
     heap: BinaryHeap<Entry<E>>,
-    cancelled: std::collections::HashSet<EventId>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -76,9 +69,7 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: SimTime::EPOCH,
             seq: 0,
-            next_id: 0,
             heap: BinaryHeap::new(),
-            cancelled: std::collections::HashSet::new(),
         }
     }
 
@@ -87,9 +78,9 @@ impl<E> Scheduler<E> {
         self.now
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
     /// True if no events remain.
@@ -98,8 +89,8 @@ impl<E> Scheduler<E> {
     }
 
     /// Schedule `payload` to fire `after` the current time.
-    pub fn schedule(&mut self, after: SimDuration, payload: E) -> EventId {
-        self.schedule_at(self.now + after, payload)
+    pub fn schedule(&mut self, after: SimDuration, payload: E) {
+        self.schedule_at(self.now + after, payload);
     }
 
     /// Schedule `payload` at an absolute time.
@@ -107,33 +98,11 @@ impl<E> Scheduler<E> {
     /// # Panics
     /// Panics if `at` is in the past: scheduling into the past would silently
     /// reorder causality.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         assert!(at >= self.now, "cannot schedule an event in the past");
-        let id = EventId(self.next_id);
-        self.next_id += 1;
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry {
-            at,
-            seq,
-            id,
-            payload,
-        });
-        id
-    }
-
-    /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_id {
-            return false;
-        }
-        // Lazy deletion: mark and skip at pop time.
-        if self.heap.iter().any(|e| e.id == id) {
-            self.cancelled.insert(id)
-        } else {
-            false
-        }
+        self.heap.push(Entry { at, seq, payload });
     }
 
     /// Pop the next event, advancing the clock to its fire time.
@@ -141,62 +110,26 @@ impl<E> Scheduler<E> {
     // which an `Iterator` impl would hide behind `for` desugaring.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Fired<E>> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            debug_assert!(entry.at >= self.now);
-            self.now = entry.at;
-            return Some(Fired {
-                at: entry.at,
-                payload: entry.payload,
-            });
-        }
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now);
+        self.now = entry.at;
+        Some(Fired {
+            at: entry.at,
+            payload: entry.payload,
+        })
     }
 
     /// Pop the next event only if it fires at or before `deadline`.
     /// The clock advances to the event time if one is returned, otherwise to
     /// `deadline`.
     pub fn next_until(&mut self, deadline: SimTime) -> Option<Fired<E>> {
-        loop {
-            match self.heap.peek() {
-                Some(entry) if entry.at <= deadline => {
-                    let entry = self.heap.pop().expect("peeked entry vanished");
-                    if self.cancelled.remove(&entry.id) {
-                        continue;
-                    }
-                    self.now = entry.at;
-                    return Some(Fired {
-                        at: entry.at,
-                        payload: entry.payload,
-                    });
-                }
-                _ => {
-                    if deadline > self.now {
-                        self.now = deadline;
-                    }
-                    return None;
-                }
-            }
+        if self.heap.peek().is_some_and(|entry| entry.at <= deadline) {
+            return self.next();
         }
-    }
-
-    /// Advance the clock without firing events (e.g. client-side think time).
-    ///
-    /// # Panics
-    /// Panics if doing so would skip over a pending event, which would break
-    /// the event ordering contract.
-    pub fn advance(&mut self, by: SimDuration) {
-        let target = self.now + by;
-        if let Some(entry) = self.heap.peek() {
-            assert!(
-                entry.at >= target || self.cancelled.contains(&entry.id),
-                "advance would skip a pending event at {}",
-                entry.at
-            );
+        if deadline > self.now {
+            self.now = deadline;
         }
-        self.now = target;
+        None
     }
 }
 
@@ -226,18 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_suppresses_event() {
-        let mut s = Scheduler::new();
-        let keep = s.schedule(SimDuration::from_millis(1), "keep");
-        let drop = s.schedule(SimDuration::from_millis(2), "drop");
-        assert!(s.cancel(drop));
-        assert!(!s.cancel(drop), "double-cancel reports false");
-        let _ = keep;
-        let order: Vec<_> = std::iter::from_fn(|| s.next().map(|f| f.payload)).collect();
-        assert_eq!(order, vec!["keep"]);
-    }
-
-    #[test]
     fn next_until_respects_deadline() {
         let mut s = Scheduler::new();
         s.schedule(SimDuration::from_millis(10), 1u32);
@@ -257,20 +178,5 @@ mod tests {
         s.schedule(SimDuration::from_millis(10), ());
         s.next();
         s.schedule_at(SimTime::from_millis(5), ());
-    }
-
-    #[test]
-    fn advance_moves_clock() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        s.advance(SimDuration::from_secs(3));
-        assert_eq!(s.now(), SimTime::from_millis(3000));
-    }
-
-    #[test]
-    #[should_panic(expected = "skip a pending event")]
-    fn advance_cannot_skip_events() {
-        let mut s = Scheduler::new();
-        s.schedule(SimDuration::from_millis(5), ());
-        s.advance(SimDuration::from_millis(10));
     }
 }

@@ -33,38 +33,6 @@ fn scheduler_matches_reference_order() {
     );
 }
 
-/// Cancelling any subset suppresses exactly those events.
-#[test]
-fn cancellation_suppresses_exactly_the_cancelled() {
-    qc::check(
-        "cancellation exactness",
-        &Config::default(),
-        &qc::tuple2(delays(1_000, 100), qc::vec_of(qc::bools(), 100..=100)),
-        |(delays, cancel_mask)| {
-            let mut s = Scheduler::new();
-            let ids: Vec<_> = delays
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| s.schedule(SimDuration::from_millis(d), i))
-                .collect();
-            let mut kept = Vec::new();
-            for (i, id) in ids.iter().enumerate() {
-                if cancel_mask[i % cancel_mask.len()] {
-                    s.cancel(*id);
-                } else {
-                    kept.push(i);
-                }
-            }
-            let mut fired: Vec<usize> =
-                std::iter::from_fn(|| s.next()).map(|f| f.payload).collect();
-            fired.sort();
-            kept.sort();
-            qc_assert_eq!(fired, kept);
-            qc::pass()
-        },
-    );
-}
-
 /// The clock never runs backwards.
 #[test]
 fn clock_is_monotone() {

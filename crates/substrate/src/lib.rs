@@ -18,10 +18,10 @@
 //!   failure-seed replay;
 //! - [`mod@bench`]: a warmup+samples micro-benchmark harness reporting
 //!   min/median/p95 per benchmark with machine-readable JSON output;
-//! - [`pool`]: a scoped worker pool with fixed worker count, panic
-//!   propagation (the lowest-indexed task's panic is re-raised), and
-//!   deterministic in-order result collection, plus a [`pool::par_map`]
-//!   helper.
+//! - [`pool`]: one safe function, [`pool::par_map`], that maps a task
+//!   over items on a fixed number of scoped worker threads, with panic
+//!   propagation (the lowest-indexed task's panic is re-raised) and
+//!   deterministic in-order result collection.
 //!
 //! ## Why first-party
 //!
@@ -32,12 +32,7 @@
 //! and stable enough to pin golden values against. `cargo tree` over this
 //! workspace shows path dependencies only.
 
-// `deny`, not `forbid`: the one sanctioned exception is `pool`'s
-// claim-by-cursor slot (a `UnsafeCell` whose exclusive-access discipline is
-// documented at the type), which removes a per-task Mutex round-trip from
-// the worker pool's hot path. Everything else in the crate stays safe code,
-// and any new `unsafe` needs its own reviewed `#[allow]`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench;
@@ -50,5 +45,5 @@ pub mod rng;
 
 pub use hash::{stable64, Hasher64};
 pub use json::{FromJson, Json, JsonError, Num, ToJson};
-pub use pool::{par_map, Pool};
+pub use pool::par_map;
 pub use rng::{Rng, RngExt, SplitMix64, Xoshiro256pp};

@@ -10,6 +10,11 @@ use proxynet::World;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
+/// A resolver counts as hijacking when at least this share of the nodes
+/// using it saw their NXDOMAIN answers hijacked (§4.3: 90%). The SMTP
+/// analysis applies the same share to an AS's stripped relays.
+pub(crate) const HIJACKING_SERVER_SHARE: f64 = 0.9;
+
 /// One Table 3 row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CountryRow {
@@ -295,7 +300,7 @@ pub fn analyze(data: &DnsDataset, world: &World, cfg: &StudyConfig) -> DnsAnalys
             out.isp_resolvers_total += 1;
             if g.nodes >= cfg.min_nodes_per_dns_server {
                 out.isp_resolvers_qualified += 1;
-                if g.hijacked as f64 >= cfg.hijacking_server_share * g.nodes as f64 {
+                if g.hijacked as f64 >= HIJACKING_SERVER_SHARE * g.nodes as f64 {
                     out.isp_resolvers_hijacking += 1;
                     isp_server_set.insert(ip);
                     let org = resolver_org.expect("checked above");
@@ -314,7 +319,7 @@ pub fn analyze(data: &DnsDataset, world: &World, cfg: &StudyConfig) -> DnsAnalys
         // Public: used from more than two countries (§4.3.2).
         if g.nodes >= cfg.min_nodes_per_dns_server && g.node_countries.len() > 2 {
             out.public_resolvers_total += 1;
-            if g.hijacked as f64 >= cfg.hijacking_server_share * g.nodes as f64 {
+            if g.hijacked as f64 >= HIJACKING_SERVER_SHARE * g.nodes as f64 {
                 public_server_set.insert(ip);
                 let operator = reg
                     .org_of_ip(ip)

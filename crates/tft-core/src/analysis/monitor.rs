@@ -290,7 +290,6 @@ mod tests {
                     ),
                 ],
             }],
-            window_hours: 24,
             samples_issued: 1,
             quality: Default::default(),
         };
@@ -331,7 +330,6 @@ mod tests {
                     entry(40_000, monitor_src, "m2.tft-probe.example", None),
                 ],
             }],
-            window_hours: 24,
             samples_issued: 1,
             quality: Default::default(),
         };
@@ -360,7 +358,6 @@ mod tests {
                 )),
                 unexpected: vec![],
             }],
-            window_hours: 24,
             samples_issued: 1,
             quality: Default::default(),
         };

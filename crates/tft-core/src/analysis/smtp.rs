@@ -5,6 +5,7 @@
 //! *don't* see `STARTTLS` (while the rest of the world does) hosts a
 //! stripping middlebox.
 
+use crate::analysis::dns::HIJACKING_SERVER_SHARE;
 use crate::config::StudyConfig;
 use crate::smtp_exp::SmtpDataset;
 use inetdb::{Asn, CountryCode};
@@ -78,9 +79,7 @@ pub fn analyze(data: &SmtpDataset, world: &World, cfg: &StudyConfig) -> SmtpAnal
     out.stripping_ases = per_as
         .into_iter()
         .filter(|(_, (_, total))| *total >= cfg.min_nodes_per_as)
-        .filter(|(_, (stripped, total))| {
-            *stripped as f64 >= cfg.hijacking_server_share * *total as f64
-        })
+        .filter(|(_, (stripped, total))| *stripped as f64 >= HIJACKING_SERVER_SHARE * *total as f64)
         .map(|(asn, (stripped, total))| {
             let org = reg.asn_to_org(asn);
             StrippingAsRow {

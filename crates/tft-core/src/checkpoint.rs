@@ -45,7 +45,7 @@ use worldgen::WorldSpec;
 
 /// Current checkpoint format version. Bumped on any incompatible change to
 /// the serialized shape; restore refuses versions it does not understand.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// A serialized stage-boundary snapshot of a [`StudyDriver`].
 ///
@@ -485,26 +485,16 @@ json_struct!(MonitorObservation {
 });
 json_struct!(MonitorDataset {
     observations,
-    window_hours,
     samples_issued,
     quality,
 });
 
 json_struct!(StudyConfig {
     customer,
-    max_samples,
-    saturation_window,
-    saturation_min_new,
     min_nodes_per_country,
     min_nodes_per_dns_server,
-    hijacking_server_share,
     min_nodes_per_domain,
     min_nodes_per_as,
-    http_nodes_per_as,
-    http_phase2_nodes,
-    http_phase2_budget,
-    monitor_window_hours,
-    per_node_byte_cap,
 });
 
 json_struct!(StudyCheckpoint {

@@ -1,72 +1,49 @@
-//! Study configuration: sampling budgets and analysis thresholds.
+//! Study configuration: the billing customer and the group-size
+//! thresholds that scale with the world.
 //!
 //! The paper's thresholds (≥100 nodes per country group, ≥10 per DNS
 //! server, ≥5 per content domain) assume a 753k-node population. A scaled
 //! world needs proportionally scaled thresholds or every group falls under
-//! them; [`StudyConfig::scaled`] handles that.
+//! them; [`StudyConfig::scaled`] handles that. The study's fixed budgets and
+//! shares are constants in the modules that own them: the sampling budget
+//! and saturation rule in [`crate::crawl`], the HTTP experiment's per-AS
+//! quotas in [`crate::http_exp`], the monitoring window in
+//! [`crate::monitor_exp`], the per-node byte cap in [`crate::ethics`], and
+//! the hijacking share in [`crate::analysis::dns`].
 
-/// Sampling and analysis parameters for one study run.
+/// The billing customer and the scaled analysis thresholds of one study run.
 #[derive(Debug, Clone)]
 pub struct StudyConfig {
     /// Luminati customer name (billing key).
     pub customer: String,
-    /// Stop sampling an experiment after this many proxy sessions.
-    pub max_samples: usize,
-    /// Saturation window: stop when fewer than `saturation_min_new` of the
-    /// last `saturation_window` samples discovered a new exit node.
-    pub saturation_window: usize,
-    /// See [`StudyConfig::saturation_window`].
-    pub saturation_min_new: usize,
     /// Country groups need at least this many measured nodes (paper: 100).
     pub min_nodes_per_country: usize,
     /// DNS-server groups need at least this many nodes (paper: 10).
     pub min_nodes_per_dns_server: usize,
-    /// A server hijacking at least this share of its nodes counts as a
-    /// hijacking server (paper: 0.9).
-    pub hijacking_server_share: f64,
     /// Content domains reported when seen on at least this many nodes
     /// (paper: 5).
     pub min_nodes_per_domain: usize,
     /// AS groups in the HTTP analysis need at least this many nodes
     /// (paper: 10).
     pub min_nodes_per_as: usize,
-    /// Phase-1 nodes measured per AS in the HTTP experiment (paper: 3).
-    pub http_nodes_per_as: usize,
-    /// Extra nodes sought per flagged AS in HTTP phase 2.
-    pub http_phase2_nodes: usize,
-    /// Budget for phase-2 rejection sampling, per flagged AS.
-    pub http_phase2_budget: usize,
-    /// Observation window after the monitoring experiment (paper: 24 h).
-    pub monitor_window_hours: u64,
-    /// Per-node download cap in bytes (ethics, §3.4: 1 MB per zID).
-    pub per_node_byte_cap: u64,
 }
 
 impl Default for StudyConfig {
     fn default() -> Self {
         StudyConfig {
             customer: "tft-study".into(),
-            max_samples: 2_000_000,
-            saturation_window: 600,
-            saturation_min_new: 30,
             min_nodes_per_country: 100,
             min_nodes_per_dns_server: 10,
-            hijacking_server_share: 0.9,
             min_nodes_per_domain: 5,
             min_nodes_per_as: 10,
-            http_nodes_per_as: 3,
-            http_phase2_nodes: 25,
-            http_phase2_budget: 400,
-            monitor_window_hours: 24,
-            per_node_byte_cap: 1_000_000,
         }
     }
 }
 
 impl StudyConfig {
     /// Thresholds proportional to a world built at `scale` (1.0 = paper
-    /// scale). Budgets are left alone; group-size thresholds shrink but
-    /// never below small floors that keep the statistics meaningful.
+    /// scale). Group-size thresholds shrink but never below small floors
+    /// that keep the statistics meaningful.
     pub fn scaled(scale: f64) -> StudyConfig {
         let t = |paper: usize, floor: usize| -> usize {
             (((paper as f64) * scale).round() as usize).max(floor)

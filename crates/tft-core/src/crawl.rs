@@ -12,6 +12,18 @@ use netsim::SimRng;
 use proxynet::ZId;
 use std::collections::{HashSet, VecDeque};
 
+/// An experiment stops after this many proxy sessions even if sampling
+/// never saturates: the backstop to the §3.2 stopping rule.
+pub(crate) const MAX_SAMPLES: usize = 2_000_000;
+
+/// Sampling saturates when fewer than [`SATURATION_MIN_NEW`] of the last
+/// `SATURATION_WINDOW` probes reached a new exit node: §3.2 stops once the
+/// rate of new zIDs drops off.
+pub(crate) const SATURATION_WINDOW: usize = 600;
+
+/// See [`SATURATION_WINDOW`].
+pub(crate) const SATURATION_MIN_NEW: usize = 30;
+
 /// Country-proportional session sampler with saturation detection.
 #[derive(Debug)]
 pub struct Sampler {
@@ -22,8 +34,6 @@ pub struct Sampler {
     next_session: u64,
     seen: HashSet<ZId>,
     window: VecDeque<bool>,
-    window_size: usize,
-    min_new: usize,
 }
 
 impl Sampler {
@@ -31,12 +41,7 @@ impl Sampler {
     ///
     /// # Panics
     /// Panics if `reported` is empty or all-zero.
-    pub fn new(
-        reported: &[(CountryCode, usize)],
-        rng: SimRng,
-        window_size: usize,
-        min_new: usize,
-    ) -> Self {
+    pub fn new(reported: &[(CountryCode, usize)], rng: SimRng) -> Self {
         let mut countries = Vec::with_capacity(reported.len());
         let mut cumulative = Vec::with_capacity(reported.len());
         let mut acc = 0u64;
@@ -57,8 +62,6 @@ impl Sampler {
             next_session: 1,
             seen: HashSet::new(),
             window: VecDeque::new(),
-            window_size,
-            min_new,
         }
     }
 
@@ -83,7 +86,7 @@ impl Sampler {
     pub fn record(&mut self, zid: &ZId) -> bool {
         let new = self.seen.insert(*zid);
         self.window.push_back(new);
-        if self.window.len() > self.window_size {
+        if self.window.len() > SATURATION_WINDOW {
             self.window.pop_front();
         }
         new
@@ -92,15 +95,15 @@ impl Sampler {
     /// Record a probe that failed to reach any node.
     pub fn record_miss(&mut self) {
         self.window.push_back(false);
-        if self.window.len() > self.window_size {
+        if self.window.len() > SATURATION_WINDOW {
             self.window.pop_front();
         }
     }
 
     /// True when the discovery rate over the window has collapsed.
     pub fn saturated(&self) -> bool {
-        self.window.len() >= self.window_size
-            && self.window.iter().filter(|&&b| b).count() < self.min_new
+        self.window.len() >= SATURATION_WINDOW
+            && self.window.iter().filter(|&&b| b).count() < SATURATION_MIN_NEW
     }
 
     /// Unique nodes discovered.
@@ -119,7 +122,7 @@ mod tests {
 
     fn sampler(counts: &[(&str, usize)]) -> Sampler {
         let reported: Vec<(CountryCode, usize)> = counts.iter().map(|(c, n)| (cc(c), *n)).collect();
-        Sampler::new(&reported, SimRng::new(5), 50, 5)
+        Sampler::new(&reported, SimRng::new(5))
     }
 
     #[test]
@@ -161,7 +164,7 @@ mod tests {
             assert!(s.record(&ZId(i as u64)));
         }
         assert!(!s.saturated(), "window not yet full");
-        for i in 0..60 {
+        for i in 0..SATURATION_WINDOW {
             s.record(&ZId((i % 10) as u64));
         }
         assert!(s.saturated());
@@ -171,7 +174,7 @@ mod tests {
     #[test]
     fn fresh_discoveries_defer_saturation() {
         let mut s = sampler(&[("US", 10)]);
-        for i in 0..200 {
+        for i in 0..2 * SATURATION_WINDOW {
             s.record(&ZId(i as u64));
         }
         assert!(!s.saturated(), "constant discovery never saturates");

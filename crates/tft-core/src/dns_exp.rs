@@ -12,8 +12,8 @@
 //!    error (no hijacking) or returns substituted content (hijacked).
 
 use crate::config::StudyConfig;
-use crate::crawl::Sampler;
-use crate::ethics::ByteBudget;
+use crate::crawl::{Sampler, MAX_SAMPLES};
+use crate::ethics::{ByteBudget, PER_NODE_BYTE_CAP};
 use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{DnsDataset, DnsObservation, DnsOutcome};
 use crate::quality::{DataQuality, ProbeOutcome};
@@ -97,14 +97,9 @@ pub(crate) fn run_shard(
     exp_opts: DnsExpOptions,
     scope: ProbeScope,
 ) -> DnsDataset {
-    let mut sampler = Sampler::new(
-        &scope.counts,
-        scope.rng(world.now().as_millis(), SEED_SALT),
-        cfg.saturation_window,
-        cfg.saturation_min_new,
-    )
-    .with_session_base(scope.session_base);
-    let mut budget = ByteBudget::new(cfg.per_node_byte_cap);
+    let mut sampler = Sampler::new(&scope.counts, scope.rng(world.now().as_millis(), SEED_SALT))
+        .with_session_base(scope.session_base);
+    let mut budget = ByteBudget::new(PER_NODE_BYTE_CAP);
     let mut data = DnsDataset::default();
     // One reusable option set per shard: the customer string is owned
     // once, not re-allocated per sample (DESIGN.md §10).
@@ -118,7 +113,7 @@ pub(crate) fn run_shard(
     let mut d1s = String::new();
     let mut d2s = String::new();
 
-    for i in 0..cfg.max_samples {
+    for i in 0..MAX_SAMPLES {
         if sampler.saturated() {
             break;
         }

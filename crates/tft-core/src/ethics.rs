@@ -9,6 +9,10 @@
 use proxynet::ZId;
 use std::collections::HashMap;
 
+/// Per-node download cap in bytes: §3.4 never downloads more than 1 MB
+/// through any one exit node (zID).
+pub const PER_NODE_BYTE_CAP: u64 = 1_000_000;
+
 /// Per-node byte budget enforcement.
 #[derive(Debug, Default)]
 pub struct ByteBudget {

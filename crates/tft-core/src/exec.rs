@@ -17,8 +17,9 @@
 //!   shard never copies the logs of earlier studies, and everything it
 //!   holds when it finishes is its own evidence. Seeds derive from the
 //!   study-start clock, a per-experiment salt, and the shard index only —
-//!   never from thread identity — so the worker count of the underlying
-//!   [`substrate::pool`] is a pure throughput knob.
+//!   never from thread identity — so the worker count that
+//!   [`substrate::pool::par_map`] runs the tasks on is a pure throughput
+//!   knob.
 //!   Forks are cheap: the world's bulk data sits behind shared `Arc`s and
 //!   copies on first write, so a shard pays only for what it mutates.
 //! - All experiments of a study flow through **one work queue**
@@ -37,7 +38,7 @@
 //!   fork, so the merge moves log entries instead of cloning them.
 //! - A shard task is a pure function of its experiment, shard index, and
 //!   country plan over the shared snapshot, so a retry could only repeat a
-//!   failure. A task panic is a bug: [`substrate::pool::Pool::run`]
+//!   failure. A task panic is a bug: [`substrate::pool::par_map`]
 //!   re-raises the lowest-indexed one and the study aborts, so no report
 //!   is ever rendered with a missing shard.
 //!
@@ -85,7 +86,7 @@ impl ExecOptions {
 impl Default for ExecOptions {
     /// Default to the machine's available parallelism, uncapped. A full
     /// study wave queues `experiments × SHARD_COUNT` tasks (32 for the
-    /// four-experiment study), and [`substrate::pool::Pool::run`] already
+    /// four-experiment study), and [`substrate::pool::par_map`] already
     /// clamps workers to the task count per call, so a cap here could only
     /// leave cores idle. Safe to machine-derive precisely because output is
     /// worker-count-invariant.
@@ -360,27 +361,11 @@ pub(crate) fn merge_https(parts: Vec<HttpsDataset>) -> HttpsDataset {
 /// Merge per-shard monitoring datasets (canonical probe-domain order).
 pub(crate) fn merge_monitor(parts: Vec<MonitorDataset>) -> MonitorDataset {
     let mut merged = MonitorDataset::default();
-    let mut window: Option<u64> = None;
     for part in parts {
-        // The window length is a config-derived property of the experiment,
-        // not additive shard data: every shard that actually ran probes
-        // reports the same value. Take it from the first such shard (not
-        // the last — a trailing empty shard would otherwise zero it out)
-        // and check the rest agree.
-        if !part.observations.is_empty() || part.samples_issued > 0 {
-            match window {
-                None => window = Some(part.window_hours),
-                Some(w) => debug_assert_eq!(
-                    w, part.window_hours,
-                    "shards disagree on the monitoring window length"
-                ),
-            }
-        }
         merged.observations.extend(part.observations);
         merged.samples_issued += part.samples_issued;
         merged.quality.merge(&part.quality);
     }
-    merged.window_hours = window.unwrap_or_default();
     merged.observations.sort_by(|a, b| a.domain.cmp(&b.domain));
     merged
 }

@@ -7,8 +7,8 @@
 //! for more nodes (to separate ISP-level from end-host modification).
 
 use crate::config::StudyConfig;
-use crate::crawl::Sampler;
-use crate::ethics::ByteBudget;
+use crate::crawl::{Sampler, MAX_SAMPLES};
+use crate::ethics::{ByteBudget, PER_NODE_BYTE_CAP};
 use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{HttpDataset, HttpObservation, ObjectResult, ProbeObject, Quarantine};
 use crate::quality::{delivery_outcome, DataQuality, ProbeOutcome};
@@ -20,6 +20,18 @@ use std::net::Ipv4Addr;
 
 /// Sampler-seed salt (XORed with virtual time at experiment start).
 const SEED_SALT: u64 = 0x477;
+
+/// Phase 1 measures this many fresh nodes per AS, then skips the AS unless
+/// one of them saw a modification (§5.1: three nodes per AS).
+pub(crate) const NODES_PER_AS: usize = 3;
+
+/// Phase 2 seeks this many extra nodes in each AS that phase 1 flagged, to
+/// separate ISP-level from end-host modification (§5.1).
+pub(crate) const PHASE2_NODES: usize = 25;
+
+/// Probes phase 2 may spend per flagged AS while seeking
+/// [`PHASE2_NODES`] nodes.
+pub(crate) const PHASE2_BUDGET: usize = 400;
 
 /// Host under the probe zone that serves the four objects.
 pub const OBJECT_HOST_LABEL: &str = "objects";
@@ -264,14 +276,9 @@ pub fn run(world: &mut World, cfg: &StudyConfig) -> HttpDataset {
 // tft-lint: hot-root — per-probe HTTP experiment loop
 pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpDataset {
     let host = provision(world);
-    let mut sampler = Sampler::new(
-        &scope.counts,
-        scope.rng(world.now().as_millis(), SEED_SALT),
-        cfg.saturation_window,
-        cfg.saturation_min_new,
-    )
-    .with_session_base(scope.session_base);
-    let mut budget = ByteBudget::new(cfg.per_node_byte_cap);
+    let mut sampler = Sampler::new(&scope.counts, scope.rng(world.now().as_millis(), SEED_SALT))
+        .with_session_base(scope.session_base);
+    let mut budget = ByteBudget::new(PER_NODE_BYTE_CAP);
     let mut data = HttpDataset::default();
     // One reusable option set per shard: the customer string is owned
     // once, not re-allocated per sample (DESIGN.md §10).
@@ -280,7 +287,7 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
     let mut flagged: HashSet<Asn> = HashSet::new();
 
     // ---- phase 1: three nodes per AS ----------------------------------
-    for _ in 0..cfg.max_samples {
+    for _ in 0..MAX_SAMPLES {
         if sampler.saturated() {
             break;
         }
@@ -307,7 +314,7 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
         }
         let asn = world.registry.ip_to_asn(first.node_ip).unwrap_or(Asn(0));
         let count = per_as.entry(asn).or_insert(0);
-        if *count >= cfg.http_nodes_per_as && !flagged.contains(&asn) {
+        if *count >= NODES_PER_AS && !flagged.contains(&asn) {
             data.skipped_quota += 1;
             continue;
         }
@@ -338,8 +345,8 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
             continue;
         };
         let mut extra = 0;
-        for _ in 0..cfg.http_phase2_budget {
-            if extra >= cfg.http_phase2_nodes {
+        for _ in 0..PHASE2_BUDGET {
+            if extra >= PHASE2_NODES {
                 break;
             }
             let session = sampler.next_probe().1;

@@ -9,7 +9,7 @@
 //! certificates.
 
 use crate::config::StudyConfig;
-use crate::crawl::Sampler;
+use crate::crawl::{Sampler, MAX_SAMPLES};
 use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{CertProbe, HttpsDataset, HttpsObservation, SiteClass};
 use crate::quality::{delivery_outcome, DataQuality, ProbeOutcome};
@@ -118,13 +118,8 @@ pub fn run(world: &mut World, cfg: &StudyConfig) -> HttpsDataset {
 // tft-lint: hot-root — per-probe HTTPS experiment loop
 pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> HttpsDataset {
     let t0 = world.now().as_millis();
-    let mut sampler = Sampler::new(
-        &scope.counts,
-        scope.rng(t0, SEED_SALT),
-        cfg.saturation_window,
-        cfg.saturation_min_new,
-    )
-    .with_session_base(scope.session_base);
+    let mut sampler =
+        Sampler::new(&scope.counts, scope.rng(t0, SEED_SALT)).with_session_base(scope.session_base);
     let mut pick_rng = scope.rng(t0, PICK_SALT);
     let mut data = HttpsDataset::default();
     // One reusable option set per shard: the customer string is owned
@@ -138,7 +133,7 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
     let rankings = world.rankings.clone();
     let universities: &[String] = rankings.universities();
 
-    for _ in 0..cfg.max_samples {
+    for _ in 0..MAX_SAMPLES {
         if sampler.saturated() {
             break;
         }

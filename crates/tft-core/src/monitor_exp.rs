@@ -7,7 +7,7 @@
 //! the content.
 
 use crate::config::StudyConfig;
-use crate::crawl::Sampler;
+use crate::crawl::{Sampler, MAX_SAMPLES};
 use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{MonitorDataset, MonitorObservation};
 use crate::quality::delivery_outcome;
@@ -23,6 +23,10 @@ const SEED_SALT: u64 = 0x303;
 /// monitoring product's own UA, an attribution signal).
 const OWN_UA: &str = "Hola/1.108";
 
+/// How long the observation window stays open after the last probe, in
+/// hours: §7.1 watched the web server for 24 hours.
+pub(crate) const WINDOW_HOURS: u64 = 24;
+
 /// Run the experiment: probe, then hold the observation window open. Like
 /// every standalone run this is a one-experiment study wave forked from
 /// `world` (see [`crate::exec`]), so it returns the dataset a study on
@@ -37,17 +41,9 @@ pub fn run(world: &mut World, cfg: &StudyConfig) -> MonitorDataset {
 /// Run one population shard (the executor's task body).
 // tft-lint: hot-root — per-probe monitor experiment loop
 pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope) -> MonitorDataset {
-    let mut sampler = Sampler::new(
-        &scope.counts,
-        scope.rng(world.now().as_millis(), SEED_SALT),
-        cfg.saturation_window,
-        cfg.saturation_min_new,
-    )
-    .with_session_base(scope.session_base);
-    let mut data = MonitorDataset {
-        window_hours: cfg.monitor_window_hours,
-        ..Default::default()
-    };
+    let mut sampler = Sampler::new(&scope.counts, scope.rng(world.now().as_millis(), SEED_SALT))
+        .with_session_base(scope.session_base);
+    let mut data = MonitorDataset::default();
     // One reusable option set per shard: the customer string is owned
     // once, not re-allocated per sample (DESIGN.md §10).
     let mut opts = UsernameOptions::new(&cfg.customer);
@@ -59,7 +55,7 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
     use std::fmt::Write as _;
     let mut label = String::new();
 
-    for i in 0..cfg.max_samples {
+    for i in 0..MAX_SAMPLES {
         if sampler.saturated() {
             break;
         }
@@ -108,8 +104,8 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
         }
     }
 
-    // Hold the observation window open (the paper watched for 24 hours).
-    world.advance(SimDuration::from_hours(cfg.monitor_window_hours));
+    // Hold the observation window open.
+    world.advance(SimDuration::from_hours(WINDOW_HOURS));
 
     // Assemble observations from the web log, borrowed: only the entries
     // an observation keeps are cloned.

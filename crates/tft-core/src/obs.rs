@@ -242,8 +242,6 @@ pub struct MonitorObservation {
 pub struct MonitorDataset {
     /// Per-node observations.
     pub observations: Vec<MonitorObservation>,
-    /// Observation window length (hours).
-    pub window_hours: u64,
     /// Total proxy sessions issued.
     pub samples_issued: usize,
     /// Per-country probe dispositions (the data-quality annex).

@@ -8,7 +8,7 @@
 //! vantage point that doesn't see `STARTTLS` sits behind a tamperer.
 
 use crate::config::StudyConfig;
-use crate::crawl::Sampler;
+use crate::crawl::{Sampler, MAX_SAMPLES};
 use netsim::SimRng;
 use proxynet::{SmtpProbeResult, UsernameOptions, World, ZId};
 use std::net::Ipv4Addr;
@@ -41,8 +41,6 @@ pub fn run(world: &mut World, cfg: &StudyConfig) -> SmtpDataset {
     let mut sampler = Sampler::new(
         &world.reported_country_counts(),
         SimRng::new(world.now().as_millis() ^ 0x25),
-        cfg.saturation_window,
-        cfg.saturation_min_new,
     );
     let mut pick = SimRng::new(world.now().as_millis() ^ 0x2525);
     let mail_hosts: Vec<String> = {
@@ -57,7 +55,7 @@ pub fn run(world: &mut World, cfg: &StudyConfig) -> SmtpDataset {
     if mail_hosts.is_empty() {
         return data;
     }
-    for _ in 0..cfg.max_samples {
+    for _ in 0..MAX_SAMPLES {
         if sampler.saturated() {
             break;
         }

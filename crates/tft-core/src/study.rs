@@ -21,7 +21,7 @@ use inetdb::{Asn, CountryCode};
 use netsim::SimTime;
 use proxynet::{World, ZId};
 use std::collections::BTreeSet;
-use substrate::pool::Pool;
+use substrate::pool;
 
 /// Everything one full study run produces.
 pub struct StudyReport {
@@ -102,6 +102,12 @@ pub fn run_study(world: &mut World, cfg: &StudyConfig) -> StudyReport {
 /// [`StudyDriver`] over `world`, run to completion, whose mutated world
 /// replaces `world`.
 ///
+/// `world` moves into the [`StudyDriver`], so its logs are never copied.
+/// While the study runs, `*world` holds an evidence-free placeholder
+/// ([`World::clone_without_evidence`]); if the study panics, `*world` is
+/// left as that placeholder: the study-start world without its server
+/// logs and billing.
+///
 /// The report is byte-identical for any `exec.workers`: shards and their
 /// seeds are fixed by the campaign plan, and results merge in canonical
 /// order regardless of which worker ran what when.
@@ -110,7 +116,9 @@ pub fn run_study_with(
     cfg: &StudyConfig,
     exec_opts: &ExecOptions,
 ) -> StudyReport {
-    let mut driver = StudyDriver::new(world.clone(), cfg.clone(), exec_opts);
+    let placeholder = world.clone_without_evidence();
+    let live = std::mem::replace(world, placeholder);
+    let mut driver = StudyDriver::new(live, cfg.clone(), exec_opts);
     driver.run_to_completion();
     let (report, finished) = driver.into_parts();
     *world = finished;
@@ -292,10 +300,12 @@ impl StudyDriver {
         let (world, cfg) = (&self.world, &self.cfg);
         // All four analysis passes (plus the coverage tally) are read-only
         // over the merged datasets and the world; run them concurrently.
-        // Pool::run clamps workers to the task count itself and returns in
+        // par_map clamps workers to the task count itself and returns in
         // index order, so destructuring below is deterministic.
-        let mut outs =
-            Pool::new(self.workers).run(vec![0usize, 1, 2, 3, 4], |_, which| match which {
+        let mut outs = pool::par_map(
+            self.workers,
+            vec![0usize, 1, 2, 3, 4],
+            |which| match which {
                 0 => AnalysisOut::Dns(analysis::dns::analyze(&dns_data, world, cfg)),
                 1 => AnalysisOut::Http(analysis::http::analyze(&http_data, world, cfg)),
                 2 => AnalysisOut::Https(analysis::https::analyze(&https_data, world, cfg)),
@@ -307,7 +317,8 @@ impl StudyDriver {
                     &https_data,
                     &monitor_data,
                 )),
-            });
+            },
+        );
         let (
             Some(AnalysisOut::Coverage(coverage)),
             Some(AnalysisOut::Monitor(monitor)),
@@ -316,7 +327,7 @@ impl StudyDriver {
             Some(AnalysisOut::Dns(dns)),
         ) = (outs.pop(), outs.pop(), outs.pop(), outs.pop(), outs.pop())
         else {
-            unreachable!("Pool::run returns results in index order");
+            unreachable!("par_map returns results in index order");
         };
 
         self.report = Some(StudyReport {

@@ -11,6 +11,8 @@
 //! cargo run -p tft-lint -- --json  # machine-readable report on stdout
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod baseline;
 pub mod callgraph;

@@ -94,7 +94,7 @@ fn instant_now_in_tft_serve_fires() {
 #[test]
 fn hashmap_outside_render_scope_is_fine() {
     let f = SourceFile::rust(
-        "crates/netsim/src/sched.rs",
+        "crates/netsim/src/latency.rs",
         "netsim",
         "use std::collections::HashMap;\npub fn f(m: HashMap<u32, u32>) -> usize { m.len() }",
     );

@@ -3,7 +3,7 @@
 //! node serves more than the per-node byte cap.
 
 use tft::prelude::*;
-use tft::tft_core::ethics::DomainAllowlist;
+use tft::tft_core::ethics::{DomainAllowlist, PER_NODE_BYTE_CAP};
 
 #[test]
 fn all_dns_queries_target_study_domains_or_allowlisted_sites() {
@@ -58,14 +58,14 @@ fn http_experiment_stays_under_per_node_cap() {
     let billed = built.world.bytes_billed(&cfg.customer);
     let measured: std::collections::HashSet<_> = data.observations.iter().map(|o| o.zid).collect();
     assert!(
-        billed <= (measured.len() as u64 + data.samples_issued as u64) * cfg.per_node_byte_cap,
+        billed <= (measured.len() as u64 + data.samples_issued as u64) * PER_NODE_BYTE_CAP,
         "billing {billed} exceeds cap envelope"
     );
     // Per-observation check: no node's recorded transfers exceed the cap.
     for obs in &data.observations {
         let bytes: usize = obs.results.iter().map(|r| r.received_len).sum();
         assert!(
-            bytes as u64 <= cfg.per_node_byte_cap,
+            bytes as u64 <= PER_NODE_BYTE_CAP,
             "node {} received {bytes} bytes",
             obs.zid
         );

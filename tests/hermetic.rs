@@ -1,7 +1,7 @@
 //! Guard: the workspace must stay hermetic — every dependency in every
 //! `Cargo.toml` is a path dependency (directly or via `workspace = true`),
 //! never a registry or git dependency. The build must succeed with zero
-//! network access.
+//! network access. Every library crate also forbids unsafe code.
 //!
 //! The rule itself lives in `tft-lint`'s `hermetic-manifests` pass (which
 //! `scripts/check.sh` also runs); this test is a thin wrapper so `cargo
@@ -22,6 +22,38 @@ fn every_dependency_is_a_path_dependency() {
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+#[test]
+fn every_library_crate_forbids_unsafe_code() {
+    // The workspace's library code is safe by construction: no crate may
+    // weaken `forbid` to `deny` and carve out an `#[allow(unsafe_code)]`.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut libs = vec![root.join("src/lib.rs")];
+    for entry in std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .flatten()
+    {
+        let lib = entry.path().join("src/lib.rs");
+        if lib.is_file() {
+            libs.push(lib);
+        }
+    }
+    assert!(libs.len() > 1, "found no crate libraries under crates/");
+    let mut missing: Vec<_> = libs
+        .iter()
+        .filter(|lib| {
+            !std::fs::read_to_string(lib)
+                .expect("lib.rs is readable")
+                .lines()
+                .any(|line| line.trim() == "#![forbid(unsafe_code)]")
+        })
+        .collect();
+    missing.sort();
+    assert!(
+        missing.is_empty(),
+        "library crates without #![forbid(unsafe_code)]: {missing:?}"
     );
 }
 
