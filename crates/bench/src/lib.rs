@@ -174,6 +174,8 @@ mod tests {
             "Figure 3",
             "Figure 4",
             "hijacks NXDOMAIN",
+            "certificate replaced",
+            "unexpected request",
         ] {
             assert!(text.contains(needle), "missing {needle}");
         }

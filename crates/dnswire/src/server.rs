@@ -175,12 +175,6 @@ impl AuthServer {
         &self.log
     }
 
-    /// Append copies of log entries recorded elsewhere (checkpoint
-    /// restore).
-    pub fn absorb_log(&mut self, entries: &[QueryLogEntry]) {
-        self.log.extend_from_slice(entries);
-    }
-
     /// Remove and return the whole log (a shard's evidence), in a buffer
     /// sized to it.
     pub fn take_log(&mut self) -> Vec<QueryLogEntry> {

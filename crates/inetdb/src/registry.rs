@@ -10,7 +10,6 @@ use crate::routeviews::{RibBuilder, RibSnapshot};
 use crate::types::{Asn, CountryCode, Ipv4Net, OrgId};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use substrate::intern::{Symbol, SymbolTable};
 
 /// An organization (ISP) record, equivalent to a CAIDA as2org entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,9 +18,6 @@ pub struct Organization {
     pub id: OrgId,
     /// Human-readable name (e.g. "TMnet", "TalkTalk").
     pub name: String,
-    /// The name interned in the registry's label table: comparisons and
-    /// grouping on the analysis side are u32 compares, not string walks.
-    pub name_sym: Symbol,
     /// Country where the organization is registered. The paper's
     /// country-level statistics measure *AS registration*, not users; ours do
     /// the same.
@@ -51,11 +47,6 @@ pub struct InternetRegistry {
     /// Next /16 block index to allocate (see `alloc_prefix`).
     next_block: u32,
     rib: Option<RibSnapshot>,
-    /// Organization/ISP names and country labels, interned in registration
-    /// order. Registration happens once, deterministically, at world
-    /// construction; analysis-side consumers compare and group by
-    /// [`Symbol`] and only resolve strings at the report boundary.
-    labels: SymbolTable,
 }
 
 /// The Google DNS anycast source range: the paper empirically determined the
@@ -82,7 +73,6 @@ impl InternetRegistry {
             next_asn: 1,
             next_block: 0,
             rib: None,
-            labels: SymbolTable::new(),
         }
     }
 
@@ -90,23 +80,15 @@ impl InternetRegistry {
     pub fn register_org(&mut self, name: &str, country: CountryCode) -> OrgId {
         let id = OrgId(self.next_org);
         self.next_org += 1;
-        let name_sym = self.labels.intern(name);
-        self.labels.intern(country.as_str());
         self.orgs.insert(
             id,
             Organization {
                 id,
                 name: name.to_string(),
-                name_sym,
                 country,
             },
         );
         id
-    }
-
-    /// The interned organization/country label table (registration order).
-    pub fn labels(&self) -> &SymbolTable {
-        &self.labels
     }
 
     /// Register an AS under `org` with a chosen ASN and `prefix_count`

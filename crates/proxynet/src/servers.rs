@@ -146,12 +146,6 @@ impl WebServer {
         self.log.iter().filter(move |e| e.host == host)
     }
 
-    /// Append copies of log entries recorded elsewhere (checkpoint
-    /// restore — see `World::restore_evidence`).
-    pub fn absorb_log(&mut self, entries: &[WebLogEntry]) {
-        self.log.extend_from_slice(entries);
-    }
-
     /// Remove and return the whole log (a shard's evidence — see
     /// `World::into_evidence`), in a buffer sized to it: the evidence
     /// carries no spare capacity across the wave.

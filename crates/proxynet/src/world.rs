@@ -649,7 +649,7 @@ impl World {
         }
     }
 
-    // -- checkpoint/restore support (tft-core crash recovery) ----------------
+    // -- stage-boundary snapshots (tft-core checkpoint) ----------------------
 
     /// Per-customer billing, in canonical (sorted customer) order, leaving
     /// out customers billed nothing.
@@ -664,49 +664,11 @@ impl World {
         billing
     }
 
-    /// Fingerprint of the world RNG's stream position: the next value the
-    /// generator *would* produce, read off a clone so the live stream is
-    /// untouched. Two worlds whose RNGs agree on seed and position agree on
-    /// this value; a checkpoint pins it so restore can prove the rebuilt
-    /// world's stream is where the original's was.
-    pub fn rng_fingerprint(&self) -> u64 {
-        use netsim::rng::Rng;
-        self.rng.clone().next_u64()
-    }
-
-    /// Number of live proxy sessions — a watermark the checkpoint layer
-    /// pins. Study stages end with their shard sessions discarded, so a
-    /// stage-boundary world holds zero; a nonzero count means the world is
-    /// mid-probe and not checkpointable.
-    pub fn session_watermark(&self) -> u64 {
-        self.sessions.len() as u64
-    }
-
     /// True when no scheduled event is pending. Stage-boundary worlds in a
     /// standard (churn-free) study are idle: advancing them only moves the
-    /// clock, which is what makes clock-only restore exact.
+    /// clock.
     pub fn is_idle(&self) -> bool {
         self.sched.is_idle()
-    }
-
-    /// Splice checkpointed evidence into a freshly rebuilt world (the
-    /// restore path): append recorded server-log entries and add recorded
-    /// billing. The caller is responsible for having advanced the clock to
-    /// the checkpoint time first and for feeding entries in canonical
-    /// (experiment-major) order — this is the same append discipline as
-    /// [`World::absorb_evidence`], sourced from a borrowed checkpoint
-    /// instead of a finished shard, so it copies the entries.
-    pub fn restore_evidence(
-        &mut self,
-        web: &[crate::WebLogEntry],
-        auth: &[dnswire::QueryLogEntry],
-        billing: &[(String, u64)],
-    ) {
-        self.web_server.absorb_log(web);
-        self.auth_server.absorb_log(auth);
-        for (customer, billed) in billing {
-            *self.bytes_billed.entry(customer.clone()).or_insert(0) += billed;
-        }
     }
 
     /// The anycast instance a Google-DNS-configured node in `country` hits.

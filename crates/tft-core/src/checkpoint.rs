@@ -1,33 +1,15 @@
-//! Study checkpoint/restore: crash recovery for [`StudyDriver`].
+//! A canonical-JSON snapshot of a [`StudyDriver`] at a stage boundary.
 //!
-//! The paper's campaign ran for five days over a churning population; a
-//! run of that scale must survive its own infrastructure dying. This module
-//! serializes a [`StudyDriver`]'s resumable state — stage cursor, the
-//! `WorldSpec` the study-start snapshot was built from, every byte of
-//! absorbed evidence, and RNG/session watermarks — through the canonical
-//! [`substrate::json`] layer as a [`StudyCheckpoint`], and rebuilds an
-//! equivalent driver from it.
-//!
-//! ## Why restore is exact
-//!
-//! A stage-boundary driver in a standard (churn-free) study holds a very
-//! particular world: the pristine study-start snapshot, which holds no
-//! evidence, plus (a) a clock advanced by absorbed shard time, (b)
-//! appended web/auth server-log entries, and (c) billing. All stage
-//! randomness comes from per-shard forked RNGs derived from the study-start
-//! clock (`ProbeScope::rng` in `exec`) — the live world's own RNG stream is
-//! never consumed, its scheduler holds no pending events (monitor refetches
-//! fire inside shard worlds), and its session table stays empty. So restore
-//! is: rebuild the snapshot from the spec, advance the clock (which fires
-//! nothing), splice the recorded evidence back in, and verify the RNG and
-//! session watermarks match what the checkpoint pinned. Every subsequent
-//! stage then forks from a byte-identical snapshot with byte-identical
-//! absorbed state — the final report cannot differ from the uninterrupted
-//! run's, at any worker count. Worlds with pending events (churn) refuse to
-//! checkpoint rather than checkpoint wrongly.
+//! [`StudyDriver::checkpoint`] records the stage cursor, the `WorldSpec`
+//! the study-start world was built from, every byte of evidence the live
+//! world has absorbed, and the completed datasets, and
+//! [`StudyCheckpoint::to_canonical_json`] encodes them through
+//! [`substrate::json`]. Nothing restores a study from it, and nothing
+//! writes it to disk. It stays because the benchmark's traced gateway-churn
+//! replay still seals a checkpoint after every stage and times the
+//! encoding; it goes once that replay stops sealing.
 
 use crate::config::StudyConfig;
-use crate::exec::ExecOptions;
 use crate::obs::{
     CertProbe, DnsDataset, DnsObservation, DnsOutcome, HttpDataset, HttpObservation, HttpsDataset,
     HttpsObservation, MonitorDataset, MonitorObservation, ObjectResult, ProbeObject, Quarantine,
@@ -37,25 +19,17 @@ use crate::quality::{DataQuality, QualityCounts};
 use crate::study::{StudyDriver, StudyStage};
 use dnswire::QueryLogEntry;
 use netsim::SimTime;
-use proxynet::{WebLogEntry, World};
+use proxynet::WebLogEntry;
 use std::fmt;
 use substrate::json::{FromJson, Json, JsonError, ToJson};
 use substrate::{json_enum, json_struct};
 use worldgen::WorldSpec;
 
-/// Current checkpoint format version. Bumped on any incompatible change to
-/// the serialized shape; restore refuses versions it does not understand.
-pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// A serialized stage-boundary snapshot of a [`StudyDriver`].
-///
-/// `(spec, checkpoint)` is the whole input of the remaining study: the spec
-/// rebuilds the study-start world, the checkpoint replays everything the
-/// interrupted run had absorbed. Round-trips through canonical JSON.
+/// A serialized stage-boundary snapshot of a [`StudyDriver`]: the spec
+/// that built the study-start world, plus everything the run has absorbed
+/// since.
 #[derive(Debug, Clone)]
 pub struct StudyCheckpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]).
-    pub version: u32,
     /// The spec the study-start snapshot was built from.
     pub spec: WorldSpec,
     /// The study's configuration.
@@ -66,16 +40,12 @@ pub struct StudyCheckpoint {
     pub now: SimTime,
     /// The stage the next [`StudyDriver::step`] will run.
     pub next: StudyStage,
-    /// Pinned world-RNG stream position (see [`World::rng_fingerprint`]).
-    pub rng_fingerprint: u64,
-    /// Pinned live-session count (see [`World::session_watermark`]).
-    pub session_watermark: u64,
     /// The live world's web-server log: for a spec-built world, every
     /// entry absorbed since study start.
     pub web_log: Vec<WebLogEntry>,
     /// The live world's authoritative-DNS log, likewise.
     pub auth_log: Vec<QueryLogEntry>,
-    /// The live world's per-customer billing ([`World::billing`]).
+    /// The live world's per-customer billing ([`proxynet::World::billing`]).
     pub billing: Vec<(String, u64)>,
     /// Completed DNS stage output, if that stage has run.
     pub dns_data: Option<DnsDataset>,
@@ -93,81 +63,29 @@ impl StudyCheckpoint {
     pub fn to_canonical_json(&self) -> String {
         self.to_json().render_canonical()
     }
-
-    /// Parse a checkpoint from JSON.
-    pub fn from_json_str(input: &str) -> Result<StudyCheckpoint, JsonError> {
-        substrate::json::from_str(input)
-    }
 }
 
-/// Why a checkpoint could not be taken or restored.
+/// Why a checkpoint could not be taken.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The study already ran to completion — there is nothing to resume;
-    /// persist the rendered report instead.
+    /// The study already ran to completion; its rendered report is the
+    /// record to keep.
     StudyComplete,
-    /// The serialized version is not one this build understands.
-    UnsupportedVersion(u32),
-    /// The world holds pending scheduled events (e.g. churn toggles), so a
-    /// clock-only restore would skip work. Such worlds refuse to
-    /// checkpoint/restore rather than do so wrongly.
+    /// The world holds pending scheduled events (e.g. churn toggles), so
+    /// its state is more than the clock, logs and billing a checkpoint
+    /// records.
     PendingEvents,
-    /// The rebuilt snapshot's clock does not match the checkpoint's
-    /// recorded study start — the spec did not rebuild the same world.
-    ClockMismatch {
-        /// Clock recorded at study start.
-        expected: SimTime,
-        /// Clock of the rebuilt snapshot.
-        found: SimTime,
-    },
-    /// The rebuilt world's RNG stream position diverged from the pinned
-    /// fingerprint — the spec did not rebuild the same world.
-    RngDiverged {
-        /// Pinned fingerprint.
-        expected: u64,
-        /// Fingerprint of the rebuilt world.
-        found: u64,
-    },
-    /// The rebuilt world's session count diverged from the pinned
-    /// watermark.
-    SessionDiverged {
-        /// Pinned watermark.
-        expected: u64,
-        /// Watermark of the rebuilt world.
-        found: u64,
-    },
-    /// The spec inside the checkpoint failed to rebuild a world.
-    SpecRejected(String),
 }
 
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::StudyComplete => {
-                write!(f, "study already complete; nothing to checkpoint or resume")
-            }
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v} (this build understands {CHECKPOINT_VERSION})")
+                write!(f, "study already complete; nothing to checkpoint")
             }
             CheckpointError::PendingEvents => {
-                write!(f, "world has pending scheduled events; checkpoint/restore requires an idle stage-boundary world")
+                write!(f, "world has pending scheduled events; a checkpoint requires an idle stage-boundary world")
             }
-            CheckpointError::ClockMismatch { expected, found } => {
-                write!(f, "rebuilt snapshot clock {found:?} does not match recorded study start {expected:?}")
-            }
-            CheckpointError::RngDiverged { expected, found } => {
-                write!(
-                    f,
-                    "rebuilt world RNG fingerprint {found:#x} diverged from pinned {expected:#x}"
-                )
-            }
-            CheckpointError::SessionDiverged { expected, found } => {
-                write!(
-                    f,
-                    "rebuilt world session watermark {found} diverged from pinned {expected}"
-                )
-            }
-            CheckpointError::SpecRejected(e) => write!(f, "checkpoint spec rejected: {e}"),
         }
     }
 }
@@ -175,17 +93,14 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 impl StudyDriver {
-    /// Snapshot this driver's resumable state at a stage boundary.
+    /// Snapshot this driver's state at a stage boundary.
     ///
-    /// `spec` must be the spec the driver's world was built from — the
-    /// checkpoint stores it so [`StudyDriver::restore`] can rebuild the
-    /// study-start snapshot; restore verifies the rebuild against pinned
-    /// RNG/session watermarks and fails loudly on mismatch.
+    /// `spec` must be the spec the driver's world was built from; the
+    /// checkpoint records it.
     ///
     /// Non-destructive: the driver remains usable. Fails on a completed
-    /// study ([`CheckpointError::StudyComplete`] — persist the report
-    /// instead) and on worlds with pending events
-    /// ([`CheckpointError::PendingEvents`]).
+    /// study ([`CheckpointError::StudyComplete`]) and on worlds with
+    /// pending events ([`CheckpointError::PendingEvents`]).
     pub fn checkpoint(&self, spec: &WorldSpec) -> Result<StudyCheckpoint, CheckpointError> {
         if self.next == StudyStage::Done {
             return Err(CheckpointError::StudyComplete);
@@ -194,14 +109,11 @@ impl StudyDriver {
             return Err(CheckpointError::PendingEvents);
         }
         Ok(StudyCheckpoint {
-            version: CHECKPOINT_VERSION,
             spec: spec.clone(),
             cfg: self.cfg.clone(),
             started: self.started,
             now: self.world.now(),
             next: self.next,
-            rng_fingerprint: self.world.rng_fingerprint(),
-            session_watermark: self.world.session_watermark(),
             web_log: self.world.web_server().log().to_vec(),
             auth_log: self.world.auth_server().log().to_vec(),
             billing: self.world.billing(),
@@ -209,89 +121,6 @@ impl StudyDriver {
             http_data: self.http_data.clone(),
             https_data: self.https_data.clone(),
             monitor_data: self.monitor_data.clone(),
-        })
-    }
-
-    /// Rebuild a driver from a checkpoint, reconstructing the study-start
-    /// snapshot with `worldgen::build` from the embedded spec.
-    ///
-    /// The restored driver renders a report byte-identical to the
-    /// uninterrupted run's at any worker count (`exec_opts` is a pure
-    /// throughput knob, exactly as at first construction).
-    pub fn restore(
-        cp: &StudyCheckpoint,
-        exec_opts: &ExecOptions,
-    ) -> Result<StudyDriver, CheckpointError> {
-        let built = worldgen::build(&cp.spec);
-        StudyDriver::restore_with_world(cp, built.world, exec_opts)
-    }
-
-    /// [`StudyDriver::restore`] with a caller-supplied pristine study-start
-    /// world, skipping the worldgen rebuild. The world must be exactly what
-    /// `worldgen::build(&cp.spec)` produces; the pinned watermarks verify as
-    /// much.
-    pub(crate) fn restore_with_world(
-        cp: &StudyCheckpoint,
-        pristine: World,
-        exec_opts: &ExecOptions,
-    ) -> Result<StudyDriver, CheckpointError> {
-        if cp.version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(cp.version));
-        }
-        if cp.next == StudyStage::Done {
-            return Err(CheckpointError::StudyComplete);
-        }
-        if !pristine.is_idle() {
-            return Err(CheckpointError::PendingEvents);
-        }
-        if pristine.now() != cp.started {
-            return Err(CheckpointError::ClockMismatch {
-                expected: cp.started,
-                found: pristine.now(),
-            });
-        }
-        let mut world = pristine;
-        let base = world.clone_without_evidence();
-        // Advance the clock to the checkpointed boundary. The scheduler is
-        // idle (checked above), so this moves time and fires nothing —
-        // exactly the state the interrupted driver's world was in.
-        if let Some(ahead) = cp.now.checked_since(world.now()) {
-            if !ahead.is_zero() {
-                world.advance(ahead);
-            }
-        } else {
-            return Err(CheckpointError::ClockMismatch {
-                expected: cp.now,
-                found: world.now(),
-            });
-        }
-        world.restore_evidence(&cp.web_log, &cp.auth_log, &cp.billing);
-        let rng_found = world.rng_fingerprint();
-        if rng_found != cp.rng_fingerprint {
-            return Err(CheckpointError::RngDiverged {
-                expected: cp.rng_fingerprint,
-                found: rng_found,
-            });
-        }
-        let sessions_found = world.session_watermark();
-        if sessions_found != cp.session_watermark {
-            return Err(CheckpointError::SessionDiverged {
-                expected: cp.session_watermark,
-                found: sessions_found,
-            });
-        }
-        Ok(StudyDriver {
-            world,
-            base,
-            cfg: cp.cfg.clone(),
-            workers: exec_opts.workers,
-            started: cp.started,
-            next: cp.next,
-            dns_data: cp.dns_data.clone(),
-            http_data: cp.http_data.clone(),
-            https_data: cp.https_data.clone(),
-            monitor_data: cp.monitor_data.clone(),
-            report: None,
         })
     }
 }
@@ -498,14 +327,11 @@ json_struct!(StudyConfig {
 });
 
 json_struct!(StudyCheckpoint {
-    version,
     spec,
     cfg,
     started,
     now,
     next,
-    rng_fingerprint,
-    session_watermark,
     web_log,
     auth_log,
     billing,
@@ -518,6 +344,17 @@ json_struct!(StudyCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecOptions;
+
+    fn smoke_driver(spec: &WorldSpec, workers: usize) -> StudyDriver {
+        let cfg = StudyConfig {
+            min_nodes_per_country: 5,
+            min_nodes_per_dns_server: 3,
+            ..StudyConfig::default()
+        };
+        let world = worldgen::build(spec).world;
+        StudyDriver::new(world, cfg, &ExecOptions::with_workers(workers))
+    }
 
     #[test]
     fn hex_roundtrips() {
@@ -565,19 +402,13 @@ mod tests {
     #[test]
     fn checkpoint_roundtrips_through_canonical_json() {
         let spec = worldgen::smoke_spec(21);
-        let world = worldgen::build(&spec).world;
-        let cfg = StudyConfig {
-            min_nodes_per_country: 5,
-            min_nodes_per_dns_server: 3,
-            ..StudyConfig::default()
-        };
-        let mut driver = StudyDriver::new(world, cfg, &ExecOptions::with_workers(1));
+        let mut driver = smoke_driver(&spec, 1);
         driver.step(); // run the DNS stage so the checkpoint carries data
         let cp = driver.checkpoint(&spec).expect("checkpointable");
         assert_eq!(cp.next, StudyStage::Http);
         assert!(cp.dns_data.is_some());
         let json = cp.to_canonical_json();
-        let back = StudyCheckpoint::from_json_str(&json).expect("parse back");
+        let back: StudyCheckpoint = substrate::json::from_str(&json).expect("parse back");
         assert_eq!(
             back.to_canonical_json(),
             json,
@@ -586,48 +417,49 @@ mod tests {
     }
 
     #[test]
+    fn encoding_is_identical_at_every_boundary_and_worker_count() {
+        let spec = worldgen::smoke_spec(0x5E4E);
+        let encodings = |workers| {
+            let mut driver = smoke_driver(&spec, workers);
+            let mut out = Vec::new();
+            while !driver.is_done() {
+                let cp = driver
+                    .checkpoint(&spec)
+                    .expect("every pre-Done boundary is checkpointable");
+                out.push((cp.next, cp.to_canonical_json()));
+                driver.step();
+            }
+            out
+        };
+        let serial = encodings(1);
+        let stages: Vec<StudyStage> = serial.iter().map(|(stage, _)| *stage).collect();
+        assert_eq!(
+            stages,
+            [
+                StudyStage::Dns,
+                StudyStage::Http,
+                StudyStage::Https,
+                StudyStage::Monitor,
+                StudyStage::Analyze,
+            ],
+            "one checkpoint per stage boundary"
+        );
+        for ((stage, one), (_, eight)) in serial.iter().zip(encodings(8)) {
+            assert!(
+                *one == eight,
+                "checkpoint before {stage:?} differs between workers 1 and 8"
+            );
+        }
+    }
+
+    #[test]
     fn completed_study_refuses_to_checkpoint() {
         let spec = worldgen::smoke_spec(21);
-        let world = worldgen::build(&spec).world;
-        let cfg = StudyConfig {
-            min_nodes_per_country: 5,
-            min_nodes_per_dns_server: 3,
-            ..StudyConfig::default()
-        };
-        let mut driver = StudyDriver::new(world, cfg, &ExecOptions::with_workers(1));
+        let mut driver = smoke_driver(&spec, 1);
         driver.run_to_completion();
         assert_eq!(
             driver.checkpoint(&spec).err(),
             Some(CheckpointError::StudyComplete)
         );
-    }
-
-    #[test]
-    fn restore_rejects_wrong_version_and_foreign_worlds() {
-        let spec = worldgen::smoke_spec(21);
-        let world = worldgen::build(&spec).world;
-        let cfg = StudyConfig {
-            min_nodes_per_country: 5,
-            min_nodes_per_dns_server: 3,
-            ..StudyConfig::default()
-        };
-        let driver = StudyDriver::new(world, cfg, &ExecOptions::with_workers(1));
-        let cp = driver.checkpoint(&spec).unwrap();
-
-        let mut wrong_version = cp.clone();
-        wrong_version.version = CHECKPOINT_VERSION + 1;
-        assert_eq!(
-            StudyDriver::restore(&wrong_version, &ExecOptions::with_workers(1))
-                .err()
-                .expect("must reject"),
-            CheckpointError::UnsupportedVersion(CHECKPOINT_VERSION + 1)
-        );
-
-        // A world built from a different spec has a different RNG stream.
-        let foreign = worldgen::build(&worldgen::smoke_spec(22)).world;
-        match StudyDriver::restore_with_world(&cp, foreign, &ExecOptions::with_workers(1)).err() {
-            Some(CheckpointError::RngDiverged { .. }) => {}
-            other => panic!("expected RngDiverged, got {other:?}"),
-        }
     }
 }

@@ -34,6 +34,9 @@ pub struct Sampler {
     next_session: u64,
     seen: HashSet<ZId>,
     window: VecDeque<bool>,
+    /// How many entries of `window` are `true`, kept in step with it so
+    /// [`Sampler::saturated`] never walks the window.
+    fresh_in_window: usize,
 }
 
 impl Sampler {
@@ -62,6 +65,7 @@ impl Sampler {
             next_session: 1,
             seen: HashSet::new(),
             window: VecDeque::new(),
+            fresh_in_window: 0,
         }
     }
 
@@ -85,25 +89,26 @@ impl Sampler {
     /// Record the zID a probe reached. Returns true if it was new.
     pub fn record(&mut self, zid: &ZId) -> bool {
         let new = self.seen.insert(*zid);
-        self.window.push_back(new);
-        if self.window.len() > SATURATION_WINDOW {
-            self.window.pop_front();
-        }
+        self.push_outcome(new);
         new
     }
 
     /// Record a probe that failed to reach any node.
     pub fn record_miss(&mut self) {
-        self.window.push_back(false);
-        if self.window.len() > SATURATION_WINDOW {
-            self.window.pop_front();
+        self.push_outcome(false);
+    }
+
+    fn push_outcome(&mut self, new: bool) {
+        self.window.push_back(new);
+        self.fresh_in_window += usize::from(new);
+        if self.window.len() > SATURATION_WINDOW && self.window.pop_front() == Some(true) {
+            self.fresh_in_window -= 1;
         }
     }
 
     /// True when the discovery rate over the window has collapsed.
     pub fn saturated(&self) -> bool {
-        self.window.len() >= SATURATION_WINDOW
-            && self.window.iter().filter(|&&b| b).count() < SATURATION_MIN_NEW
+        self.window.len() >= SATURATION_WINDOW && self.fresh_in_window < SATURATION_MIN_NEW
     }
 
     /// Unique nodes discovered.
@@ -178,6 +183,38 @@ mod tests {
             s.record(&ZId(i as u64));
         }
         assert!(!s.saturated(), "constant discovery never saturates");
+    }
+
+    #[test]
+    fn saturation_matches_a_recount_of_the_window() {
+        let mut s = sampler(&[("US", 10)]);
+        let mut rng = SimRng::new(0x5A7);
+        let mut outcomes: Vec<bool> = Vec::new();
+        let (mut next_zid, mut saw_saturated, mut saw_open) = (0u64, false, false);
+        for step in 0..6 * SATURATION_WINDOW {
+            // Alternate windows of brisk and sparse discovery so the
+            // sampler crosses the threshold both ways.
+            let p_new = [0.08, 0.02][(step / SATURATION_WINDOW) % 2];
+            if rng.random_bool(0.1) {
+                s.record_miss();
+                outcomes.push(false);
+            } else if rng.random_bool(p_new) {
+                next_zid += 1;
+                outcomes.push(s.record(&ZId(next_zid)));
+            } else {
+                outcomes.push(s.record(&ZId(rng.random_range(0..=next_zid))));
+            }
+            let tail = &outcomes[outcomes.len().saturating_sub(SATURATION_WINDOW)..];
+            let full = tail.len() == SATURATION_WINDOW;
+            let expected = full && tail.iter().filter(|&&b| b).count() < SATURATION_MIN_NEW;
+            assert_eq!(s.saturated(), expected, "step {step}");
+            saw_saturated |= expected;
+            saw_open |= full && !expected;
+        }
+        assert!(
+            saw_saturated && saw_open,
+            "the sequence crosses the threshold"
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The paper's commitments: never download more than 1 MB through any one
 //! exit node, and only request domains the study controls or a small set of
 //! well-known sites (per-country Alexa top 20 and ten university domains).
-//! These are enforced *mechanically* — experiment code cannot bypass them
-//! without going through this module.
+//! The DNS and HTTP experiments charge every fetch to a [`ByteBudget`]. No
+//! experiment consults [`DomainAllowlist`]: `tests/ethics_invariants.rs`
+//! checks the study's server logs against it after the fact.
 
 use proxynet::ZId;
 use std::collections::HashMap;
@@ -64,9 +65,8 @@ impl ByteBudget {
     }
 }
 
-/// One suffix rule with its dotted form precomputed: `permits` sits on the
-/// hot path of every probe admission, and allocating `".{apex}"` per rule
-/// per request added a measurable cost once the executor went parallel.
+/// One suffix rule with its dotted form precomputed, so `permits` builds
+/// no `".{apex}"` string per rule per host.
 #[derive(Debug)]
 struct SuffixRule {
     apex: String,

@@ -50,7 +50,7 @@ pub mod scoring;
 pub mod smtp_exp;
 pub mod study;
 
-pub use checkpoint::{CheckpointError, StudyCheckpoint, CHECKPOINT_VERSION};
+pub use checkpoint::{CheckpointError, StudyCheckpoint};
 pub use config::StudyConfig;
 pub use crawl::Sampler;
 pub use exec::ExecOptions;

@@ -204,12 +204,29 @@ pub fn figure3(world: &mut World) -> String {
     world.set_tracing(true);
     world.clear_trace();
     let ip = world.site_address("demo-site.example").expect("demo site");
-    // Session 7 pins the TLS-intercepted node in the demo world.
-    for session in [7, 8] {
+    let served = world
+        .expected_chain("demo-site.example")
+        .expect("demo site")[0]
+        .fingerprint();
+    // A session number names no node: the super proxy draws a fresh
+    // session's exit node from the world's RNG, so which node answers
+    // depends on the requests before it. Open sessions until one tunnel
+    // has carried the site's own leaf and one a replaced leaf.
+    let (mut clean, mut replaced) = (false, false);
+    for session in 7..23 {
         let opts = UsernameOptions::new("figures")
             .country(CountryCode::new("US"))
             .session(session);
-        let _ = world.proxy_connect_tls(&opts, ip, 443, "demo-site.example");
+        if let Ok(probe) = world.proxy_connect_tls(&opts, ip, 443, "demo-site.example") {
+            if probe.chain.first().map(|leaf| leaf.fingerprint()) == Some(served) {
+                clean = true;
+            } else {
+                replaced = true;
+            }
+        }
+        if clean && replaced {
+            break;
+        }
     }
     let out = format!(
         "Figure 3 — timeline of the certificate-replacement measurement\n{}",

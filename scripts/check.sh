@@ -164,21 +164,4 @@ echo "== serve gateway e2e (release) =="
 # re-execution, and 429 backpressure under a saturated queue.
 cargo test -q --release --test serve_gateway
 
-echo "== lint engine scaling (JSON to BENCH_lint.json) =="
-# Full workspace lint at workers 1/2/8. The bench binary asserts the
-# rendered report is byte-identical at every count (parallel lint must be
-# deterministic), then records wall-clock per worker count.
-BENCH_JSON="$PWD/BENCH_lint.json" TFT_BENCH_QUICK=1 \
-  cargo bench -p tft-bench --bench lint
-
-echo "== crash recovery (release tests + JSON to BENCH_recovery.json) =="
-# Kill/restore determinism first: a study killed at any stage boundary and
-# restored from its checkpoint renders byte-identical output at workers
-# 1 and 8. Then the bench binary re-gates the digest across every boundary
-# and archives checkpoint cost per stage plus time-to-recover vs
-# time-to-recompute; any digest divergence panics and fails this stage.
-cargo test -q --release --test recovery
-BENCH_JSON="$PWD/BENCH_recovery.json" TFT_BENCH_QUICK=1 \
-  cargo bench -p tft-bench --bench recovery
-
 echo "all checks passed"
