@@ -7,7 +7,7 @@
 //! With no selector, prints everything: Tables 1–9, Figures 1–5, and the
 //! ground-truth scorecard.
 
-use tft_bench::{render_all, render_timeline_figures, run_full, DEFAULT_SCALE};
+use tft_bench::{render_all, render_timeline_figures, run_full, timeline_figures, DEFAULT_SCALE};
 use tft_core::report::{csv, figures, tables};
 
 fn main() {
@@ -87,19 +87,11 @@ fn main() {
         }
     }
 
-    // Figures 1–4 need no study run.
-    if let Some(f) = figure {
-        if (1..=4).contains(&f) {
-            let mut world = figures::demo_world();
-            let out = match f {
-                1 => figures::figure1(&mut world),
-                2 => figures::figure2(&mut world),
-                3 => figures::figure3(&mut world),
-                _ => figures::figure4(&mut world),
-            };
-            println!("{out}");
-            return;
-        }
+    // Figures 1–4 need no study run. Each is the one the full output
+    // prints, rendered after the figures before it.
+    if let Some(f @ 1..=4) = figure {
+        println!("{}", timeline_figures()[f as usize - 1]);
+        return;
     }
 
     if let Some(path) = export_path {

@@ -128,18 +128,23 @@ pub fn render_markdown(run: &HarnessRun) -> String {
     s
 }
 
+/// Figures 1–4, rendered in turn on one demonstration world. Each
+/// timeline depends on the requests the figures before it made, so a
+/// single figure is the Nth of these, never one rendered on a fresh world.
+pub fn timeline_figures() -> [String; 4] {
+    use tft_core::report::figures;
+    let mut world = figures::demo_world();
+    [
+        figures::figure1(&mut world),
+        figures::figure2(&mut world),
+        figures::figure3(&mut world),
+        figures::figure4(&mut world),
+    ]
+}
+
 /// Render figures 1–4 from the demonstration world.
 pub fn render_timeline_figures() -> String {
-    let mut world = tft_core::report::figures::demo_world();
-    let mut s = String::new();
-    s.push_str(&tft_core::report::figures::figure1(&mut world));
-    s.push('\n');
-    s.push_str(&tft_core::report::figures::figure2(&mut world));
-    s.push('\n');
-    s.push_str(&tft_core::report::figures::figure3(&mut world));
-    s.push('\n');
-    s.push_str(&tft_core::report::figures::figure4(&mut world));
-    s
+    timeline_figures().join("\n")
 }
 
 #[cfg(test)]

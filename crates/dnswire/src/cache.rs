@@ -5,7 +5,10 @@
 //! would bypass the authoritative server and blind the measurement. This
 //! cache makes that design constraint testable: wire it into a resolver
 //! model and unique names always miss while repeated names stop hitting
-//! the authority.
+//! the authority. And like a real resolver it forgets: an insert first
+//! sweeps out the answers whose TTL has passed, once the cache has doubled
+//! since its last sweep, so a run of unique names holds only the answers
+//! still alive instead of every answer ever cached.
 
 use crate::name::DnsName;
 use crate::wire::{QType, Rcode, Record};
@@ -28,12 +31,26 @@ struct Entry {
 }
 
 /// A `(name, qtype)`-keyed cache with per-record TTLs and a negative TTL.
+///
+/// Precondition: the times passed to one cache never decrease. The
+/// insert-path sweep rests on it: an answer expired at an insert's `now`
+/// is expired at every later `get` too, so dropping it changes no answer,
+/// and a `get` counts an expired key as a miss whether or not it is still
+/// stored, so the counters do not move either.
 #[derive(Debug, Clone, Default)]
 pub struct DnsCache {
     entries: HashMap<(DnsName, u16), Entry>,
+    /// Twice the entries the last sweep kept (0 before the first): the
+    /// next insert sweeps once the table holds this many, and at least
+    /// [`SWEEP_FLOOR`].
+    sweep_at: usize,
     hits: u64,
     misses: u64,
 }
+
+/// The smallest cache an insert sweeps: below it a sweep costs more than
+/// the expired answers it frees.
+const SWEEP_FLOOR: usize = 64;
 
 /// Negative answers are cached for the zone's SOA minimum in real life; we
 /// use a flat five minutes.
@@ -75,27 +92,37 @@ impl DnsCache {
         assert!(!records.is_empty(), "positive entries need records");
         // tft-lint: allow(no-panic-on-untrusted-bytes, reason = "documented API-contract panic: the assert above guarantees records is non-empty")
         let ttl = records.iter().map(|r| r.ttl).min().expect("non-empty");
-        self.entries.insert(
-            (name, qtype.code()),
-            Entry {
-                answer: CachedAnswer::Records(records),
-                expires: now + SimDuration::from_secs(ttl as u64),
-            },
-        );
+        let expires = now + SimDuration::from_secs(ttl as u64);
+        self.insert(name, qtype, CachedAnswer::Records(records), expires, now);
     }
 
     /// Insert a negative answer.
     pub fn put_negative(&mut self, name: DnsName, qtype: QType, rcode: Rcode, now: SimTime) {
-        self.entries.insert(
-            (name, qtype.code()),
-            Entry {
-                answer: CachedAnswer::Negative(rcode),
-                expires: now + NEGATIVE_TTL,
-            },
-        );
+        let expires = now + NEGATIVE_TTL;
+        self.insert(name, qtype, CachedAnswer::Negative(rcode), expires, now);
     }
 
-    /// Entries currently stored (including expired-but-unswept).
+    /// Store an answer, sweeping expired ones first once the cache has
+    /// doubled since the last sweep: the sweep's cost is then at most one
+    /// step per insert.
+    fn insert(
+        &mut self,
+        name: DnsName,
+        qtype: QType,
+        answer: CachedAnswer,
+        expires: SimTime,
+        now: SimTime,
+    ) {
+        if self.entries.len() >= self.sweep_at.max(SWEEP_FLOOR) {
+            self.sweep(now);
+            self.sweep_at = 2 * self.entries.len();
+        }
+        self.entries
+            .insert((name, qtype.code()), Entry { answer, expires });
+    }
+
+    /// Entries currently stored (including expired-but-unswept): at most
+    /// [`SWEEP_FLOOR`] or twice the unexpired entries the last sweep kept.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -245,5 +272,86 @@ mod tests {
         );
         c.sweep(t0 + SimDuration::from_secs(500));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn insert_sweep_matches_a_cache_that_never_evicts() {
+        // Random puts, negative puts and gets at non-decreasing times,
+        // mostly on unique probe names as a study issues them, against a
+        // reference that keeps every answer forever: every get and the
+        // counters agree, and the cache holds at most SWEEP_FLOOR plus
+        // twice the most answers ever unexpired at once.
+        use netsim::rng::RngExt;
+        use netsim::SimRng;
+
+        for seed in 0..8u64 {
+            let mut rng = SimRng::new(0xCAC4E ^ seed);
+            let mut cache = DnsCache::new();
+            let mut reference: HashMap<(String, u16), (CachedAnswer, SimTime)> = HashMap::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            let mut now = SimTime::EPOCH;
+            let mut unique = 0u32;
+            let mut peak_unexpired = 0usize;
+            for _ in 0..4000 {
+                now += SimDuration::from_millis(rng.random_range(0..20_000u64));
+                // One name in four comes from a small pool that repeats.
+                let host = if rng.random_bool(0.25) {
+                    format!("r{}.example", rng.random_range(0..16u32))
+                } else if rng.random_bool(0.5) || unique == 0 {
+                    unique += 1;
+                    format!("p{unique}.probe.example")
+                } else {
+                    let recent = unique.saturating_sub(32).max(1)..=unique;
+                    format!("p{}.probe.example", rng.random_range(recent))
+                };
+                let qtype = if rng.random_bool(0.9) {
+                    QType::A
+                } else {
+                    QType::Aaaa
+                };
+                let key = (host.clone(), qtype.code());
+                match rng.random_range(0..3u32) {
+                    0 => {
+                        let got = cache.get(&name(&host), qtype, now);
+                        let want = match reference.get(&key) {
+                            Some((answer, expires)) if *expires > now => {
+                                hits += 1;
+                                Some(answer.clone())
+                            }
+                            _ => {
+                                misses += 1;
+                                None
+                            }
+                        };
+                        assert_eq!(got, want, "seed {seed}: get {host} at {now:?}");
+                        continue;
+                    }
+                    1 => {
+                        let records = vec![a_record(&host, rng.random_range(1..600u32))];
+                        let ttl = records[0].ttl as u64;
+                        cache.put(name(&host), qtype, records.clone(), now);
+                        let expires = now + SimDuration::from_secs(ttl);
+                        reference.insert(key, (CachedAnswer::Records(records), expires));
+                    }
+                    _ => {
+                        cache.put_negative(name(&host), qtype, Rcode::NxDomain, now);
+                        let answer = CachedAnswer::Negative(Rcode::NxDomain);
+                        reference.insert(key, (answer, now + NEGATIVE_TTL));
+                    }
+                }
+                let unexpired = reference.values().filter(|(_, e)| *e > now).count();
+                peak_unexpired = peak_unexpired.max(unexpired);
+                assert!(
+                    cache.len() <= SWEEP_FLOOR + 2 * peak_unexpired,
+                    "seed {seed}: {} entries, at most {peak_unexpired} ever unexpired",
+                    cache.len()
+                );
+            }
+            assert_eq!(cache.stats(), (hits, misses), "seed {seed}");
+            assert!(
+                hits > 0 && misses > 0,
+                "seed {seed}: the workload hits and misses"
+            );
+        }
     }
 }

@@ -383,9 +383,17 @@ impl World {
                 self.advance_to(t);
                 return Err(ProxyError::DeadlineExceeded(debug));
             }
-            // The first attempt goes to the session's node while it lives.
+            // The first attempt goes to the session's node while it lives,
+            // unless the request asks for another country: then the super
+            // proxy draws a fresh node there, and `settle` re-pins the
+            // session to it.
             let pinned = match opts.session {
-                Some(sid) if attempt == 0 => self.sessions.lookup(&opts.customer, sid, t),
+                Some(sid) if attempt == 0 => {
+                    self.sessions.lookup(&opts.customer, sid, t).filter(|id| {
+                        opts.country
+                            .is_none_or(|cc| self.nodes[id.0 as usize].country == cc)
+                    })
+                }
                 _ => None,
             };
             let Some(node_id) = pinned.or_else(|| self.pick_exit(opts, &debug.attempts)) else {

@@ -3,7 +3,7 @@
 //! the HTTPS experiment, and ISP landing servers for hijack pages.
 
 use certs::Certificate;
-use httpwire::{Response, StatusCode};
+use httpwire::Response;
 use netsim::SimTime;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -79,29 +79,12 @@ impl WebServer {
         hit
     }
 
-    /// Handle a request: log it and serve the route (owned 404 on miss).
-    ///
-    /// Thin cloning wrapper over [`WebServer::handle_ref`] for callers
-    /// that need an owned response.
-    pub fn handle(
-        &mut self,
-        at: SimTime,
-        src: Ipv4Addr,
-        host: &str,
-        path: &str,
-        user_agent: Option<&str>,
-    ) -> Response {
-        match self.handle_ref(at, src, host, path, user_agent) {
-            // tft-lint: allow(hot-path-alloc, reason = "cold wrapper: the per-probe delivery path calls handle_ref and encodes from the borrow; only monitor refetch events and tests take the owned copy")
-            Some(r) => r.clone(),
-            None => Response::new(StatusCode::NOT_FOUND, b"not found".to_vec()),
-        }
-    }
-
     /// Handle a request: log it and return the matching route *borrowed*
     /// (`None` on a miss; the caller renders its 404). The hot delivery
     /// path encodes straight from this reference instead of cloning
-    /// multi-KB probe objects per request.
+    /// multi-KB probe objects per request, and a monitor refetch drops it
+    /// unread. The log entry comes first, so a request is logged whether
+    /// or not its route still exists.
     pub fn handle_ref(
         &mut self,
         at: SimTime,
@@ -189,6 +172,7 @@ pub struct OriginSite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use httpwire::StatusCode;
 
     #[test]
     fn serves_installed_route_and_logs() {
@@ -198,37 +182,37 @@ mod tests {
             "/obj/page.html",
             Response::ok("text/html", b"<html/>".to_vec()),
         );
-        let r = ws.handle(
+        let r = ws.handle_ref(
             SimTime::from_millis(5),
             Ipv4Addr::new(11, 0, 0, 9),
             "Probe.Example",
             "/obj/page.html",
             Some("hola/1.0"),
         );
-        assert_eq!(r.status, StatusCode::OK);
+        assert_eq!(r.map(|r| r.status), Some(StatusCode::OK));
         assert_eq!(ws.log().len(), 1);
         assert_eq!(ws.log()[0].host, "probe.example");
         assert_eq!(ws.log()[0].user_agent.as_deref(), Some("hola/1.0"));
     }
 
     #[test]
-    fn unknown_route_is_404_but_still_logged() {
+    fn unknown_route_is_a_miss_but_still_logged() {
         let mut ws = WebServer::new();
-        let r = ws.handle(
+        let r = ws.handle_ref(
             SimTime::EPOCH,
             Ipv4Addr::new(1, 1, 1, 1),
             "x",
             "/nope",
             None,
         );
-        assert_eq!(r.status, StatusCode::NOT_FOUND);
+        assert!(r.is_none());
         assert_eq!(ws.log().len(), 1);
     }
 
     #[test]
     fn log_sorted_orders_by_time() {
         let mut ws = WebServer::new();
-        ws.handle(
+        ws.handle_ref(
             SimTime::from_millis(50),
             Ipv4Addr::new(1, 1, 1, 1),
             "h",
@@ -249,14 +233,14 @@ mod tests {
     #[test]
     fn host_filter() {
         let mut ws = WebServer::new();
-        ws.handle(
+        ws.handle_ref(
             SimTime::EPOCH,
             Ipv4Addr::new(1, 1, 1, 1),
             "a.example",
             "/",
             None,
         );
-        ws.handle(
+        ws.handle_ref(
             SimTime::EPOCH,
             Ipv4Addr::new(1, 1, 1, 1),
             "b.example",
@@ -272,7 +256,8 @@ mod tests {
         ws.put("h", "/x", Response::ok("text/plain", b"y".to_vec()));
         assert!(ws.remove("h", "/x"));
         assert!(!ws.remove("h", "/x"));
-        let r = ws.handle(SimTime::EPOCH, Ipv4Addr::new(1, 1, 1, 1), "h", "/x", None);
-        assert_eq!(r.status, StatusCode::NOT_FOUND);
+        let r = ws.handle_ref(SimTime::EPOCH, Ipv4Addr::new(1, 1, 1, 1), "h", "/x", None);
+        assert!(r.is_none());
+        assert_eq!(ws.log().len(), 1);
     }
 }

@@ -18,11 +18,25 @@ struct SessionEntry {
 /// touch borrows the customer instead of allocating a key for it. A study
 /// has a handful of customers, which an ordered map holds as cheaply as a
 /// hashed one.
+///
+/// A touch first sweeps out the pins idle past the window, once the table
+/// has doubled since its last sweep. Precondition: the times passed to one
+/// table never decrease (and the window is set before the first touch). A
+/// pin idle past the window at a touch's `now` is then idle past it at
+/// every later lookup, so the sweep changes no lookup.
 #[derive(Debug, Clone)]
 pub struct SessionTable {
     entries: BTreeMap<String, HashMap<u64, SessionEntry>>,
     ttl: SimDuration,
+    /// Twice the entries the last sweep kept (0 before the first): the
+    /// next touch sweeps once the table holds this many, and at least
+    /// [`SWEEP_FLOOR`].
+    sweep_at: usize,
 }
+
+/// The smallest table a touch sweeps: below it a sweep costs more than the
+/// expired pins it frees.
+const SWEEP_FLOOR: usize = 64;
 
 impl Default for SessionTable {
     fn default() -> Self {
@@ -36,6 +50,7 @@ impl SessionTable {
         SessionTable {
             entries: BTreeMap::new(),
             ttl: SESSION_TTL,
+            sweep_at: 0,
         }
     }
 
@@ -58,7 +73,13 @@ impl SessionTable {
     }
 
     /// Record that this session used `node` at `now` (refreshes the TTL).
+    /// Sweeps expired pins first once the table has doubled since the last
+    /// sweep, so the sweep costs at most one step per touch.
     pub fn touch(&mut self, customer: &str, session: u64, node: NodeId, now: SimTime) {
+        if self.len() >= self.sweep_at.max(SWEEP_FLOOR) {
+            self.sweep(now);
+            self.sweep_at = 2 * self.len();
+        }
         let entry = SessionEntry {
             node,
             last_used: now,
@@ -74,15 +95,21 @@ impl SessionTable {
         }
     }
 
-    /// Drop expired entries (housekeeping; correctness never depends on it).
+    /// Drop the pins idle past the window at `now` (housekeeping;
+    /// correctness never depends on it). A pin last used after `now` is
+    /// kept.
     pub fn sweep(&mut self, now: SimTime) {
         let ttl = self.ttl;
         for sessions in self.entries.values_mut() {
-            sessions.retain(|_, e| now.since(e.last_used) <= ttl);
+            sessions.retain(|_, e| {
+                now.checked_since(e.last_used)
+                    .is_none_or(|idle| idle <= ttl)
+            });
         }
     }
 
-    /// Number of live entries (including not-yet-swept expired ones).
+    /// Number of stored pins, including expired ones not yet swept: at most
+    /// [`SWEEP_FLOOR`] or twice the fresh pins the last sweep kept.
     pub fn len(&self) -> usize {
         self.entries.values().map(HashMap::len).sum()
     }
@@ -153,5 +180,76 @@ mod tests {
         );
         t.sweep(SimTime::EPOCH + SimDuration::from_secs(100));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn sweep_keeps_a_pin_used_after_the_sweep_time() {
+        let mut t = SessionTable::new();
+        t.touch(
+            "c",
+            1,
+            NodeId(1),
+            SimTime::EPOCH + SimDuration::from_secs(100),
+        );
+        t.sweep(SimTime::EPOCH + SimDuration::from_secs(50));
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn touch_sweep_matches_a_table_that_never_evicts() {
+        // Random touches and lookups at non-decreasing times, mostly on
+        // fresh session ids as a study draws them, against a reference
+        // that keeps every pin forever: every lookup agrees, and the table
+        // holds at most SWEEP_FLOOR plus twice the most pins ever fresh at
+        // once.
+        use netsim::rng::RngExt;
+        use netsim::SimRng;
+
+        for seed in 0..8u64 {
+            let mut rng = SimRng::new(0x5E55 ^ seed);
+            let mut table = SessionTable::new();
+            let mut reference: HashMap<(&str, u64), (NodeId, SimTime)> = HashMap::new();
+            let mut now = SimTime::EPOCH;
+            let mut fresh_id = 0u64;
+            let mut peak_fresh = 0usize;
+            let mut pinned_lookups = 0;
+            for _ in 0..4000 {
+                now += SimDuration::from_millis(rng.random_range(0..8_000u64));
+                let customer = ["study", "figures"][rng.random_range(0..2usize)];
+                let session = if rng.random_bool(0.5) || fresh_id == 0 {
+                    fresh_id += 1;
+                    fresh_id
+                } else {
+                    rng.random_range(fresh_id.saturating_sub(24).max(1)..=fresh_id)
+                };
+                if rng.random_bool(0.5) {
+                    let want = reference
+                        .get(&(customer, session))
+                        .filter(|(_, used)| now.since(*used) <= SESSION_TTL)
+                        .map(|(node, _)| *node);
+                    pinned_lookups += usize::from(want.is_some());
+                    assert_eq!(
+                        table.lookup(customer, session, now),
+                        want,
+                        "seed {seed}: {customer} session {session} at {now:?}"
+                    );
+                    continue;
+                }
+                let node = NodeId(rng.random_range(0..50u32));
+                table.touch(customer, session, node, now);
+                reference.insert((customer, session), (node, now));
+                let fresh = reference
+                    .values()
+                    .filter(|(_, used)| now.since(*used) <= SESSION_TTL)
+                    .count();
+                peak_fresh = peak_fresh.max(fresh);
+                assert!(
+                    table.len() <= SWEEP_FLOOR + 2 * peak_fresh,
+                    "seed {seed}: {} pins, at most {peak_fresh} ever fresh",
+                    table.len()
+                );
+            }
+            assert!(pinned_lookups > 0, "seed {seed}: some lookups find a pin");
+        }
     }
 }

@@ -374,8 +374,10 @@ impl World {
                     .record_with(at, netsim::TraceCategory::Monitor, || {
                         format!("unexpected request for http://{host}{path} from {src}")
                     });
+                // Logged, and the borrowed route dropped: the refetch's
+                // response reaches nobody we observe.
                 self.web_server
-                    .handle(at, src, &host, &path, Some(&user_agent));
+                    .handle_ref(at, src, &host, &path, Some(&user_agent));
             }
             WorldEvent::ChurnToggle { node } => {
                 let n = self.node_cow(node);

@@ -4,12 +4,16 @@
 //! pick a country in proportion to the exit counts Luminati reports there,
 //! pick a fresh random session number, and measure whichever node answers —
 //! stopping when the rate of *new* zIDs drops off (the network is dynamic,
-//! so "all nodes" is never reached).
+//! so "all nodes" is never reached). Each probe fetches a name of its own
+//! (§4.1), provisioned for that one fetch ([`fetch_probe_name`]).
 
+use dnswire::server::inetdb_net::Net;
+use dnswire::{AnswerOverride, DnsName};
+use httpwire::{Response, Uri};
 use inetdb::CountryCode;
 use netsim::rng::RngExt;
 use netsim::SimRng;
-use proxynet::ZId;
+use proxynet::{ProxyError, ProxyResponse, UsernameOptions, World, ZId};
 use std::collections::{HashSet, VecDeque};
 
 /// An experiment stops after this many proxy sessions even if sampling
@@ -115,6 +119,41 @@ impl Sampler {
     pub fn unique_nodes(&self) -> usize {
         self.seen.len()
     }
+}
+
+/// Fetch `http://{host}/` through `opts` with the unique probe name `name`
+/// provisioned for exactly that fetch: its A record, an NXDOMAIN override
+/// for every resolver outside `allow_only` when one is given, and `page`
+/// as its content. The logs keep the evidence, and nothing reads the name
+/// or its route after the fetch: a monitor's refetch is logged before any
+/// route lookup and resolves no DNS.
+pub(crate) fn fetch_probe_name(
+    world: &mut World,
+    opts: &UsernameOptions,
+    name: &DnsName,
+    host: &str,
+    page: &[u8],
+    allow_only: Option<Net>,
+) -> Result<ProxyResponse, ProxyError> {
+    let web_ip = world.web_ip();
+    let auth = world.auth_server_mut();
+    // tft-lint: allow(hot-path-alloc, reason = "a DnsName clone bumps the refcount of its one Arc<str>")
+    auth.zone_mut().add_a(name.clone(), web_ip);
+    if let Some(net) = allow_only {
+        // tft-lint: allow(hot-path-alloc, reason = "a DnsName clone bumps the refcount of its one Arc<str>")
+        auth.set_override(name.clone(), AnswerOverride::NxdomainUnlessFrom(vec![net]));
+    }
+    world
+        .web_server_mut()
+        .put(host, "/", Response::ok("text/html", page.to_vec()));
+    let fetched = world.proxy_get(opts, &Uri::http(host, "/"));
+    let auth = world.auth_server_mut();
+    auth.zone_mut().remove(name);
+    if allow_only.is_some() {
+        auth.clear_override(name);
+    }
+    world.web_server_mut().remove(host, "/");
+    fetched
 }
 
 #[cfg(test)]

@@ -12,13 +12,12 @@
 //!    error (no hijacking) or returns substituted content (hijacked).
 
 use crate::config::StudyConfig;
-use crate::crawl::{Sampler, MAX_SAMPLES};
+use crate::crawl::{fetch_probe_name, Sampler, MAX_SAMPLES};
 use crate::ethics::{ByteBudget, PER_NODE_BYTE_CAP};
 use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{DnsDataset, DnsObservation, DnsOutcome};
 use crate::quality::{DataQuality, ProbeOutcome};
-use dnswire::{server::inetdb_net::Net, AnswerOverride};
-use httpwire::{Response, Uri};
+use dnswire::server::inetdb_net::Net;
 use inetdb::CountryCode;
 use proxynet::{ProxyError, UsernameOptions, World};
 use std::net::Ipv4Addr;
@@ -55,14 +54,9 @@ fn record_delivered(quality: &mut DataQuality, country: CountryCode, failed_atte
     quality.record(country, outcome);
 }
 
-/// Tiny page served on probe names (the DNS experiment needs content, not
+/// The page every DNS probe name serves (the experiment needs content, not
 /// size).
-fn probe_page() -> Response {
-    Response::ok(
-        "text/html",
-        b"<html><body>tft dns probe</body></html>".to_vec(),
-    )
-}
+const PROBE_PAGE: &[u8] = b"<html><body>tft dns probe</body></html>";
 
 /// Methodology variants, for ablation studies.
 #[derive(Debug, Clone, Copy, Default)]
@@ -123,33 +117,8 @@ pub(crate) fn run_shard(
         label.clear();
         let _ = write!(label, "{}d1-{i}", scope.tag);
         let d1 = apex.child(&label).expect("valid label");
-        label.clear();
-        let _ = write!(label, "{}d2-{i}", scope.tag);
-        let d2 = apex.child(&label).expect("valid label");
         d1s.clear();
         let _ = write!(d1s, "{d1}");
-        d2s.clear();
-        let _ = write!(d2s, "{d2}");
-
-        // Provision: d1 for everyone, d2 only for the super proxy's
-        // resolver.
-        let web_ip = world.web_ip();
-        {
-            let auth = world.auth_server_mut();
-            auth.zone_mut().add_a(d1.clone(), web_ip);
-            auth.zone_mut().add_a(d2.clone(), web_ip);
-            let predicate = if exp_opts.naive_google_predicate {
-                google_anycast_net()
-            } else {
-                super_proxy_net(super_dns)
-            };
-            auth.set_override(
-                d2.clone(),
-                AnswerOverride::NxdomainUnlessFrom(vec![predicate]),
-            );
-        }
-        world.web_server_mut().put(&d1s, "/", probe_page());
-        world.web_server_mut().put(&d2s, "/", probe_page());
 
         let auth_cursor = world.auth_server().log().len();
         let web_cursor = world.web_server().log().len();
@@ -157,9 +126,10 @@ pub(crate) fn run_shard(
         opts.country = Some(country);
         opts.session = Some(session);
 
-        // Step d1: identify the node, its IP, and its resolver.
+        // Step d1, resolvable by everyone: identify the node, its IP, and
+        // its resolver.
         let outcome = (|| -> Option<DnsObservation> {
-            let resp = match world.proxy_get(&opts, &Uri::http(&d1s, "/")) {
+            let resp = match fetch_probe_name(world, &opts, &d1, &d1s, PROBE_PAGE, None) {
                 Ok(r) => r,
                 Err(e) => {
                     data.quality.record_error(country, &e);
@@ -208,8 +178,20 @@ pub(crate) fn run_shard(
                 return None; // do not issue d2
             }
 
-            // Step d2: the hijack test, same session.
-            let d2_result = world.proxy_get(&opts, &Uri::http(&d2s, "/"));
+            // Step d2: the hijack test, same session, on a name only the
+            // super proxy's resolver may resolve. Provisioned only now
+            // that d1 has found a fresh node within budget.
+            label.clear();
+            let _ = write!(label, "{}d2-{i}", scope.tag);
+            let d2 = apex.child(&label).expect("valid label");
+            d2s.clear();
+            let _ = write!(d2s, "{d2}");
+            let predicate = if exp_opts.naive_google_predicate {
+                google_anycast_net()
+            } else {
+                super_proxy_net(super_dns)
+            };
+            let d2_result = fetch_probe_name(world, &opts, &d2, &d2s, PROBE_PAGE, Some(predicate));
             let outcome = match d2_result {
                 Err(ProxyError::ExitDnsFailure(debug)) => {
                     if debug.final_zid() != Some(&zid) {
@@ -258,16 +240,6 @@ pub(crate) fn run_shard(
         if data.duplicates > dup_before {
             data.discarded -= 1;
         }
-
-        // Decommission the probe names; the logs retain the evidence.
-        {
-            let auth = world.auth_server_mut();
-            auth.zone_mut().remove(&d1);
-            auth.zone_mut().remove(&d2);
-            auth.clear_override(&d2);
-        }
-        world.web_server_mut().remove(&d1s, "/");
-        world.web_server_mut().remove(&d2s, "/");
     }
     data
 }

@@ -7,11 +7,10 @@
 //! the content.
 
 use crate::config::StudyConfig;
-use crate::crawl::{Sampler, MAX_SAMPLES};
+use crate::crawl::{fetch_probe_name, Sampler, MAX_SAMPLES};
 use crate::exec::{self, ExpData, Experiment, ProbeScope};
 use crate::obs::{MonitorDataset, MonitorObservation};
 use crate::quality::delivery_outcome;
-use httpwire::{Response, Uri};
 use netsim::SimDuration;
 use proxynet::{UsernameOptions, World, ZId};
 use std::collections::HashMap;
@@ -22,6 +21,9 @@ const SEED_SALT: u64 = 0x303;
 /// User agent our own proxied requests carry (refetches carry the
 /// monitoring product's own UA, an attribution signal).
 const OWN_UA: &str = "Hola/1.108";
+
+/// The page every monitoring probe name serves.
+const PROBE_PAGE: &[u8] = b"<html><body>tft monitor probe</body></html>";
 
 /// How long the observation window stays open after the last probe, in
 /// hours: §7.1 watched the web server for 24 hours.
@@ -48,7 +50,6 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
     // once, not re-allocated per sample (DESIGN.md §10).
     let mut opts = UsernameOptions::new(&cfg.customer);
     let apex = world.auth_apex().clone();
-    let web_ip = world.web_ip();
     // zid → (domain, reported exit ip, probe issue time)
     let mut probed: HashMap<ZId, (String, std::net::Ipv4Addr)> = HashMap::new();
     // Reused per-probe label scratch (see dns_exp.rs).
@@ -65,21 +66,9 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
         let _ = write!(label, "{}m{i}", scope.tag);
         let name = apex.child(&label).expect("valid label");
         let host = name.to_string();
-        world
-            .auth_server_mut()
-            .zone_mut()
-            .add_a(name.clone(), web_ip);
-        world.web_server_mut().put(
-            &host,
-            "/",
-            Response::ok(
-                "text/html",
-                b"<html><body>tft monitor probe</body></html>".to_vec(),
-            ),
-        );
         opts.country = Some(country);
         opts.session = Some(session);
-        match world.proxy_get(&opts, &Uri::http(&host, "/")) {
+        match fetch_probe_name(world, &opts, &name, &host, PROBE_PAGE, None) {
             Ok(resp) => {
                 let Some(zid) = resp.debug.final_zid().cloned() else {
                     data.quality.record_failure(country);
@@ -89,17 +78,11 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
                 data.quality.record(country, delivery_outcome(&resp.debug));
                 if sampler.record(&zid) {
                     probed.insert(zid, (host, resp.exit_ip));
-                } else {
-                    // Duplicate node: withdraw the unused probe name.
-                    world.auth_server_mut().zone_mut().remove(&name);
-                    world.web_server_mut().remove(&host, "/");
                 }
             }
             Err(e) => {
                 data.quality.record_error(country, &e);
                 sampler.record_miss();
-                world.auth_server_mut().zone_mut().remove(&name);
-                world.web_server_mut().remove(&host, "/");
             }
         }
     }
@@ -146,4 +129,31 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
     }
     data.observations.sort_by(|a, b| a.domain.cmp(&b.domain));
     data
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dnswire::ZoneAnswer;
+
+    #[test]
+    fn a_shard_leaves_no_probe_name_or_route_behind() {
+        let mut world = worldgen::build(&worldgen::smoke_spec(7)).world;
+        let scope = ProbeScope::shard(0, world.reported_country_counts());
+        let data = run_shard(&mut world, &StudyConfig::default(), scope);
+        assert!(!data.observations.is_empty(), "the shard measured nodes");
+        let apex = world.auth_apex().clone();
+        for i in 0..data.samples_issued {
+            let name = apex.child(&format!("s0-m{i}")).expect("valid label");
+            assert_eq!(
+                world.auth_server().zone().lookup(&name, dnswire::QType::A),
+                ZoneAnswer::NxDomain,
+                "{name} is still in the zone"
+            );
+            assert!(
+                !world.web_server_mut().remove(&name.to_string(), "/"),
+                "{name} still has a route"
+            );
+        }
+    }
 }

@@ -323,3 +323,34 @@ pub fn figure5(monitor: &MonitorAnalysis) -> String {
     s.push_str(&legend);
     s
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_session_pinned_abroad_exits_in_the_country_asked_for() {
+        // Figure 2 pins customer `figures` session 92 on an MY node. A
+        // US-scoped CONNECT on that session must leave through a US node,
+        // and the session then stays pinned there.
+        let mut world = demo_world();
+        figure2(&mut world);
+        let ip = world.site_address("demo-site.example").expect("demo site");
+        let us = CountryCode::new("US");
+        let opts = UsernameOptions::new("figures").country(us).session(92);
+        let mut connect = || {
+            world
+                .proxy_connect_tls(&opts, ip, 443, "demo-site.example")
+                .expect("a US node answers")
+                .exit_ip
+        };
+        let (first, second) = (connect(), connect());
+        let exit = world
+            .node_ids()
+            .map(|id| world.node(id))
+            .find(|n| n.ip == first)
+            .expect("the exit is a node");
+        assert_eq!(exit.country, us, "session 92 exited at {first}");
+        assert_eq!(second, first, "the session is re-pinned to the US node");
+    }
+}
