@@ -100,13 +100,9 @@ pub fn verify_chain(
 }
 
 /// Exact-identity comparison for the invalid-sites check: true if the
-/// presented chain's leaf is byte-identical (by fingerprint) to the
-/// expected certificate.
+/// presented chain's leaf equals the expected certificate in every field.
 pub fn exact_match(presented: &[Certificate], expected: &Certificate) -> bool {
-    presented
-        .first()
-        .map(|leaf| leaf.fingerprint() == expected.fingerprint() && leaf == expected)
-        .unwrap_or(false)
+    presented.first() == Some(expected)
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Property tests: chain validation accepts exactly the chains it should.
 
-use certs::{verify_chain, CertAuthority, CertError, DistinguishedName, KeyId, RootStore};
+use certs::{
+    exact_match, verify_chain, CertAuthority, CertError, DistinguishedName, KeyId, RootStore,
+};
 use netsim::{SimDuration, SimRng, SimTime};
 use substrate::qc::{self, alphabet, Config, Gen};
-use substrate::{qc_assert_eq, qc_assert_ne, qc_assume};
+use substrate::{qc_assert, qc_assert_eq, qc_assert_ne, qc_assume};
 
 /// `[a-z]{1,10}(\.[a-z]{2,8}){1,3}` — a dotted hostname.
 fn hosts() -> Gen<String> {
@@ -144,6 +146,46 @@ fn fingerprint_discriminates() {
             let b = ca.issue_leaf(host, SimTime::EPOCH, &mut rng);
             qc_assert_eq!(a.fingerprint(), a.fingerprint());
             qc_assert_ne!(a.fingerprint(), b.fingerprint());
+            qc::pass()
+        },
+    );
+}
+
+/// `exact_match` is equality of the leaf: over issued certificates and
+/// every single-field perturbation of them (a tweak of 0 or an even tweak
+/// to a flag or string leaves the field as it was), a chain matches exactly
+/// when its leaf equals the expected certificate, whatever follows the
+/// leaf, and an empty chain never matches.
+#[test]
+fn exact_match_is_leaf_equality() {
+    qc::check(
+        "exact match is leaf equality",
+        &Config::default(),
+        &qc::tuple4(qc::any_u64(), hosts(), qc::ints(0usize..12), qc::any_u64()),
+        |(seed, host, field, tweak)| {
+            let mut rng = SimRng::new(*seed);
+            let mut ca =
+                CertAuthority::new_root(DistinguishedName::cn("Root"), SimTime::EPOCH, &mut rng);
+            let a = ca.issue_leaf(host, SimTime::EPOCH, &mut rng);
+            let (mut b, t, odd) = (a.clone(), *tweak, *tweak % 2 == 1);
+            let text = |on: bool| on.then(|| "perturbed".to_string());
+            match field {
+                0 => b.serial ^= t,
+                1 => b.subject.common_name.extend(text(odd)),
+                2 => b.subject.organization = text(odd),
+                3 => b.subject.country = text(odd),
+                4 => b.issuer.common_name.extend(text(odd)),
+                5 => b.subject_key = KeyId(b.subject_key.0 ^ t),
+                6 => b.issuer_key = KeyId(b.issuer_key.0 ^ t),
+                7 => b.not_before = SimTime::from_millis(b.not_before.as_millis() ^ t),
+                8 => b.not_after = SimTime::from_millis(b.not_after.as_millis() ^ t),
+                9 => b.san.extend(text(odd)),
+                10 => b.is_ca ^= odd,
+                _ => {}
+            }
+            qc_assert_eq!(exact_match(std::slice::from_ref(&b), &a), a == b);
+            qc_assert_eq!(exact_match(&[b.clone(), a.clone()], &a), a == b);
+            qc_assert!(!exact_match(&[], &a));
             qc::pass()
         },
     );

@@ -167,7 +167,14 @@ impl DnsName {
     }
 
     /// The canonical dotted form without a trailing dot ("" for the root).
-    pub(crate) fn as_str(&self) -> &str {
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// The one allocation holding [`as_str`](DnsName::as_str)'s text:
+    /// evidence that names this name (a web-log host, a dataset's domain)
+    /// clones this refcount instead of copying the text.
+    pub fn as_arc(&self) -> &Arc<str> {
         &self.text
     }
 

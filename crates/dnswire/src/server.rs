@@ -128,15 +128,19 @@ impl AuthServer {
         self.overrides.remove(name);
     }
 
-    /// Handle one query, logging it and applying overrides.
+    /// Handle one query, logging it and applying overrides. A query for a
+    /// provisioned name logs the zone's stored owner name, a refcount on
+    /// the name the provisioner built; only a name with no records keeps
+    /// the decoded copy.
     pub fn handle(&mut self, query: &Message, src: Ipv4Addr, now: SimTime) -> Message {
         let Some(q) = query.questions.first() else {
             return Message::respond(query, Rcode::FormErr, vec![]);
         };
+        let qname = self.zone.owner(&q.qname).unwrap_or(&q.qname);
         self.log.push(QueryLogEntry {
             at: now,
             src,
-            qname: q.qname.clone(),
+            qname: qname.clone(),
             qtype: q.qtype,
         });
         if let Some(policy) = self.overrides.get(&q.qname) {
@@ -185,6 +189,12 @@ impl AuthServer {
     /// copying an entry.
     pub fn replace_log(&mut self, log: Vec<QueryLogEntry>) -> Vec<QueryLogEntry> {
         std::mem::replace(&mut self.log, log)
+    }
+
+    /// Make room for `additional` more entries, exactly: a merge that knows
+    /// its total sizes the log once instead of doubling it.
+    pub fn reserve_log(&mut self, additional: usize) {
+        self.log.reserve_exact(additional);
     }
 
     /// Move `entries` onto the end of the log, leaving `entries` empty
@@ -268,6 +278,25 @@ mod tests {
         assert_eq!(s.log()[0].src, ISP_SRC);
         assert_eq!(s.log()[1].at, SimTime::from_millis(900));
         assert_eq!(s.queries_for(&name("d1.tft-probe.example")).count(), 2);
+    }
+
+    #[test]
+    fn a_provisioned_name_is_logged_as_the_zone_owner() {
+        use std::sync::Arc;
+        let mut s = server();
+        let owner = s
+            .zone()
+            .owner(&name("d1.tft-probe.example"))
+            .unwrap()
+            .clone();
+        let q = Message::query(9, name("D1.tft-probe.example"), QType::A);
+        s.handle(&q, ISP_SRC, SimTime::EPOCH);
+        assert!(Arc::ptr_eq(s.log()[0].qname.as_arc(), owner.as_arc()));
+        // A name with no records keeps the query's own copy.
+        let ghost = Message::query(10, name("ghost.tft-probe.example"), QType::A);
+        s.handle(&ghost, ISP_SRC, SimTime::EPOCH);
+        let logged = s.log()[1].qname.as_arc();
+        assert!(Arc::ptr_eq(logged, ghost.questions[0].qname.as_arc()));
     }
 
     #[test]

@@ -97,6 +97,12 @@ impl Zone {
         })
     }
 
+    /// The stored owner name equal to `name`, if any records sit there: the
+    /// allocation whoever provisioned the name built.
+    pub(crate) fn owner(&self, name: &DnsName) -> Option<&DnsName> {
+        self.records.get_key_value(name).map(|(owner, _)| owner)
+    }
+
     /// Remove all records at `name`. Returns how many were removed.
     pub fn remove(&mut self, name: &DnsName) -> usize {
         self.records.remove(name).map(|v| v.len()).unwrap_or(0)

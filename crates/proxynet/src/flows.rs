@@ -227,6 +227,8 @@ impl World {
     /// encoding the response's HTTP/1.1 wire bytes into `out` (cleared
     /// first). Web-server routes encode straight from the borrowed route
     /// entry, so the multi-KB probe objects are never cloned per request.
+    /// Returns the host and path our web server logged, when the request
+    /// reached it.
     // Eight arguments is the honest shape of one logged origin hit:
     // time, addressing (src/ip/host/path), UA, and the output buffer.
     #[allow(clippy::too_many_arguments)]
@@ -239,7 +241,7 @@ impl World {
         path: &str,
         user_agent: Option<&str>,
         out: &mut Vec<u8>,
-    ) {
+    ) -> Option<(Arc<str>, Arc<str>)> {
         if ip == self.web_ip {
             self.trace.record_with(at, TraceCategory::Origin, || {
                 format!("measurement web server serves http://{host}{path} to {src}")
@@ -249,21 +251,23 @@ impl World {
                 None => Response::new(httpwire::StatusCode::NOT_FOUND, b"not found".to_vec())
                     .encode_into(out),
             }
-            return;
+            let logged = self.web_server.log().last()?;
+            return Some((Arc::clone(&logged.host), Arc::clone(&logged.path)));
         }
         if let Some(h) = self.landing.get(&ip) {
             self.trace.record_with(at, TraceCategory::Origin, || {
                 format!("hijack landing server at {ip} serves assist page for {host}")
             });
             Response::ok("text/html", h.hijack_page(host)).encode_into(out);
-            return;
+            return None;
         }
         if let Some(site_host) = self.origin_by_ip.get(&ip) {
             let body = self.origin_sites[site_host].http_body.clone();
             Response::ok("text/html", body).encode_into(out);
-            return;
+            return None;
         }
         Response::new(httpwire::StatusCode::BAD_GATEWAY, Vec::new()).encode_into(out);
+        None
     }
 
     /// Apply in-path and end-host response modification (§5).
@@ -303,9 +307,16 @@ impl World {
     }
 
     /// Schedule monitor refetches for a request the node just made to our
-    /// web server (§7). Refetches of third-party sites exist too but never
-    /// reach our logs, so they are not simulated.
-    fn schedule_monitors(&mut self, node_id: NodeId, host: &str, path: &str, t_origin: SimTime) {
+    /// web server (§7), sharing the `host` and `path` the server logged for
+    /// it. Refetches of third-party sites exist too but never reach our
+    /// logs, so they are not simulated.
+    fn schedule_monitors(
+        &mut self,
+        node_id: NodeId,
+        host: &Arc<str>,
+        path: &Arc<str>,
+        t_origin: SimTime,
+    ) {
         let monitor_idxs = self.nodes[node_id.0 as usize].software.monitors.clone();
         for idx in monitor_idxs {
             let entity = &self.monitors[idx];
@@ -316,7 +327,6 @@ impl World {
                 .rng
                 .fork_indexed(&self.monitor_fork_labels[idx], node_id.0 as u64 ^ fnv(host));
             let plan = entity.plan(&mut rng);
-            let ua = entity.user_agent.clone();
             for refetch in plan {
                 let at = match refetch.offset {
                     RefetchOffset::After(d) => t_origin + d,
@@ -338,9 +348,9 @@ impl World {
                     at,
                     WorldEvent::MonitorRefetch {
                         src: refetch.src,
-                        host: host.to_string(),
-                        path: path.to_string(),
-                        user_agent: ua.clone(),
+                        host: Arc::clone(host),
+                        path: Arc::clone(path),
+                        monitor: idx,
                     },
                 );
             }
@@ -559,7 +569,7 @@ impl World {
         // The response travels as real HTTP/1.1 bytes, through the shard's
         // reused scratch buffer.
         let mut wire = std::mem::take(&mut self.scratch.http_wire);
-        self.origin_response_into(
+        let logged = self.origin_response_into(
             t_origin,
             observed_src,
             effective_ip,
@@ -583,8 +593,8 @@ impl World {
             }
             _ => {}
         }
-        if effective_ip == self.web_ip {
-            self.schedule_monitors(node_id, &url.host, &url.path, t_origin);
+        if let Some((host, path)) = logged {
+            self.schedule_monitors(node_id, &host, &path, t_origin);
         }
 
         let t_back = self.settle(opts, &mut exit, t_origin, &mut rng, resp.body.len() as u64);

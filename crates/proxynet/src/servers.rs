@@ -3,25 +3,30 @@
 //! the HTTPS experiment, and ISP landing servers for hijack pages.
 
 use certs::Certificate;
+use dnswire::DnsName;
 use httpwire::Response;
 use netsim::SimTime;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// One logged HTTP request at the measurement web server.
+/// One logged HTTP request at the measurement web server. Its strings are
+/// shared: a routed request's host and path are the route's own keys (a
+/// probe name's host is the name's allocation), a monitor refetch shares
+/// the request it repeats, and a user agent is the server's one copy. A
+/// routed request's entry costs its inline bytes and three refcounts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WebLogEntry {
     /// Arrival time.
     pub at: SimTime,
     /// Source address (exit node, VPN egress, or monitor infrastructure).
     pub src: Ipv4Addr,
-    /// `Host` header.
-    pub host: String,
+    /// `Host` header, lowercase.
+    pub host: Arc<str>,
     /// Request path.
-    pub path: String,
+    pub path: Arc<str>,
     /// `User-Agent` header, if any.
-    pub user_agent: Option<String>,
+    pub user_agent: Option<Arc<str>>,
 }
 
 substrate::json_struct!(WebLogEntry {
@@ -33,14 +38,42 @@ substrate::json_struct!(WebLogEntry {
 });
 
 /// The study's web server: serves probe objects and logs every request.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct WebServer {
     /// host → path → response; host keys are stored lowercase.
-    routes: HashMap<String, HashMap<String, Response>>,
+    routes: HashMap<Arc<str>, HashMap<Arc<str>, Response>>,
     log: Vec<WebLogEntry>,
-    /// Reused lowercase-host scratch: route lookups need no owned key
-    /// (only the retained log entry owns its copy of the host).
+    /// Route paths and user agents, one allocation each for every route
+    /// and log entry that names them.
+    interned: HashSet<Arc<str>>,
+    /// Reused lowercase-host scratch: route lookups need no owned key.
     host_scratch: String,
+}
+
+/// A clone starts with an empty interning table, so a shard world forked
+/// from a base never shares a user agent or path allocation with the base
+/// or a sibling shard: a refcount that two workers bump on every request
+/// would serialize them. Routes and the log are copied as they are; a
+/// study's base holds neither, since each shard provisions its own.
+impl Clone for WebServer {
+    fn clone(&self) -> Self {
+        WebServer {
+            routes: self.routes.clone(),
+            log: self.log.clone(),
+            interned: HashSet::new(),
+            host_scratch: String::new(),
+        }
+    }
+}
+
+/// `s` from `table`, adding it on first sight.
+fn intern(table: &mut HashSet<Arc<str>>, s: &str) -> Arc<str> {
+    if let Some(shared) = table.get(s) {
+        return Arc::clone(shared);
+    }
+    let shared: Arc<str> = Arc::from(s);
+    table.insert(Arc::clone(&shared));
+    shared
 }
 
 impl WebServer {
@@ -58,10 +91,19 @@ impl WebServer {
 
     /// Install content at `host`/`path`.
     pub fn put(&mut self, host: &str, path: &str, response: Response) {
-        self.routes
-            .entry(host.to_ascii_lowercase())
-            .or_default()
-            .insert(path.to_string(), response);
+        self.put_at(Arc::from(host.to_ascii_lowercase()), path, response);
+    }
+
+    /// Install content at `path` under `name`'s own text (lowercase by
+    /// construction), so the log entries of requests for it share the
+    /// name's allocation.
+    pub fn put_name(&mut self, name: &DnsName, path: &str, response: Response) {
+        self.put_at(Arc::clone(name.as_arc()), path, response);
+    }
+
+    fn put_at(&mut self, host: Arc<str>, path: &str, response: Response) {
+        let path = intern(&mut self.interned, path);
+        self.routes.entry(host).or_default().insert(path, response);
     }
 
     /// Remove content. Returns true if it existed.
@@ -82,9 +124,9 @@ impl WebServer {
     /// Handle a request: log it and return the matching route *borrowed*
     /// (`None` on a miss; the caller renders its 404). The hot delivery
     /// path encodes straight from this reference instead of cloning
-    /// multi-KB probe objects per request, and a monitor refetch drops it
-    /// unread. The log entry comes first, so a request is logged whether
-    /// or not its route still exists.
+    /// multi-KB probe objects per request. The log entry comes first, so a
+    /// request is logged whether or not its route still exists; it shares
+    /// the route's host and path keys, and only a miss allocates them.
     pub fn handle_ref(
         &mut self,
         at: SimTime,
@@ -94,14 +136,40 @@ impl WebServer {
         user_agent: Option<&str>,
     ) -> Option<&Response> {
         Self::lower_into(&mut self.host_scratch, host);
+        let paths = self.routes.get_key_value(self.host_scratch.as_str());
+        let route = paths.and_then(|(_, paths)| paths.get_key_value(path));
+        let entry = WebLogEntry {
+            at,
+            src,
+            host: paths.map_or_else(
+                || Arc::from(self.host_scratch.as_str()),
+                |(h, _)| Arc::clone(h),
+            ),
+            path: route.map_or_else(|| Arc::from(path), |(p, _)| Arc::clone(p)),
+            user_agent: user_agent.map(|ua| intern(&mut self.interned, ua)),
+        };
+        self.log.push(entry);
+        route.map(|(_, response)| response)
+    }
+
+    /// Log a request whose response reaches nobody we observe (a monitor's
+    /// refetch), sharing the `host` and `path` of the request it repeats.
+    pub(crate) fn log_refetch(
+        &mut self,
+        at: SimTime,
+        src: Ipv4Addr,
+        host: Arc<str>,
+        path: Arc<str>,
+        user_agent: &str,
+    ) {
+        let user_agent = Some(intern(&mut self.interned, user_agent));
         self.log.push(WebLogEntry {
             at,
             src,
-            host: self.host_scratch.clone(),
-            path: path.to_string(),
-            user_agent: user_agent.map(|s| s.to_string()),
+            host,
+            path,
+            user_agent,
         });
-        self.routes.get(self.host_scratch.as_str())?.get(path)
     }
 
     /// The request log, in arrival order of processing. Monitor refetches
@@ -126,7 +194,7 @@ impl WebServer {
         host: &'a str,
     ) -> impl Iterator<Item = &'a WebLogEntry> + 'a {
         let host = host.to_ascii_lowercase();
-        self.log.iter().filter(move |e| e.host == host)
+        self.log.iter().filter(move |e| *e.host == *host)
     }
 
     /// Remove and return the whole log (a shard's evidence — see
@@ -140,6 +208,12 @@ impl WebServer {
     /// copying an entry (see `World::clone_without_evidence`).
     pub fn replace_log(&mut self, log: Vec<WebLogEntry>) -> Vec<WebLogEntry> {
         std::mem::replace(&mut self.log, log)
+    }
+
+    /// Make room for `additional` more entries, exactly: a merge that knows
+    /// its total sizes the log once instead of doubling it.
+    pub(crate) fn reserve_log(&mut self, additional: usize) {
+        self.log.reserve_exact(additional);
     }
 
     /// Move `entries` onto the end of the log, leaving `entries` empty
@@ -191,7 +265,7 @@ mod tests {
         );
         assert_eq!(r.map(|r| r.status), Some(StatusCode::OK));
         assert_eq!(ws.log().len(), 1);
-        assert_eq!(ws.log()[0].host, "probe.example");
+        assert_eq!(&*ws.log()[0].host, "probe.example");
         assert_eq!(ws.log()[0].user_agent.as_deref(), Some("hola/1.0"));
     }
 

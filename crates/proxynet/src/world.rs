@@ -45,11 +45,13 @@ pub struct IspHttp {
 /// or a peer joining/leaving the network.
 #[derive(Debug, Clone)]
 pub(crate) enum WorldEvent {
+    /// A refetch shares the logged `host` and `path` of the request it
+    /// repeats, and names its monitor for the user agent.
     MonitorRefetch {
         src: Ipv4Addr,
-        host: String,
-        path: String,
-        user_agent: String,
+        host: Arc<str>,
+        path: Arc<str>,
+        monitor: usize,
     },
     /// Flip a node's online state and reschedule the next flip (churn).
     ChurnToggle { node: NodeId },
@@ -368,16 +370,16 @@ impl World {
                 src,
                 host,
                 path,
-                user_agent,
+                monitor,
             } => {
                 self.trace
                     .record_with(at, netsim::TraceCategory::Monitor, || {
                         format!("unexpected request for http://{host}{path} from {src}")
                     });
-                // Logged, and the borrowed route dropped: the refetch's
-                // response reaches nobody we observe.
-                self.web_server
-                    .handle_ref(at, src, &host, &path, Some(&user_agent));
+                // Logged only: the refetch's response reaches nobody we
+                // observe.
+                let user_agent = &self.monitors[monitor].user_agent;
+                self.web_server.log_refetch(at, src, host, path, user_agent);
             }
             WorldEvent::ChurnToggle { node } => {
                 let n = self.node_cow(node);
@@ -626,6 +628,17 @@ impl World {
             bytes_billed: std::mem::take(&mut self.bytes_billed),
             now: self.now(),
         }
+    }
+
+    /// Size the server logs for absorbing every one of `shards`, exactly:
+    /// a wave's merge then moves its entries into buffers allocated once,
+    /// instead of doubling them shard by shard.
+    pub fn reserve_evidence<'a>(&mut self, shards: impl IntoIterator<Item = &'a ShardEvidence>) {
+        let (web, auth) = shards.into_iter().fold((0, 0), |(web, auth), shard| {
+            (web + shard.web_log.len(), auth + shard.auth_log.len())
+        });
+        self.web_server.reserve_log(web);
+        self.auth_server.reserve_log(auth);
     }
 
     /// Merge the measurement evidence a shard produced back into this world:

@@ -753,6 +753,18 @@ impl ToJson for str {
     }
 }
 
+/// A shared string is encoded exactly like a `String`.
+impl ToJson for Arc<str> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+impl FromJson for Arc<str> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        String::from_json(v).map(Arc::from)
+    }
+}
+
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
         match self {
@@ -1123,6 +1135,16 @@ mod tests {
         let empty: Arc<[bool]> = Arc::from(Vec::new());
         assert_eq!(empty.to_json().render(), "[]");
         assert!(from_str::<Arc<[bool]>>("{}").is_err());
+    }
+
+    #[test]
+    fn shared_strings_encode_like_strings() {
+        let owned = String::from("ua \"quoted\" \u{e9}");
+        let shared: Arc<str> = Arc::from(owned.as_str());
+        let text = to_string_pretty(&shared);
+        assert_eq!(text, to_string_pretty(&owned), "same bytes as the String");
+        assert_eq!(&*from_str::<Arc<str>>(&text).unwrap(), owned.as_str());
+        assert!(from_str::<Arc<str>>("7").is_err());
     }
 
     #[test]

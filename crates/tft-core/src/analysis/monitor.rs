@@ -255,7 +255,7 @@ mod tests {
             src,
             host: host.into(),
             path: "/".into(),
-            user_agent: ua.map(|s| s.to_string()),
+            user_agent: ua.map(Into::into),
         }
     }
 

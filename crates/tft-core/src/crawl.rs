@@ -121,17 +121,17 @@ impl Sampler {
     }
 }
 
-/// Fetch `http://{host}/` through `opts` with the unique probe name `name`
+/// Fetch `http://{name}/` through `opts` with the unique probe name `name`
 /// provisioned for exactly that fetch: its A record, an NXDOMAIN override
 /// for every resolver outside `allow_only` when one is given, and `page`
-/// as its content. The logs keep the evidence, and nothing reads the name
-/// or its route after the fetch: a monitor's refetch is logged before any
-/// route lookup and resolves no DNS.
+/// as its content, routed under the name's own text. The logs keep the
+/// evidence, each entry a refcount on `name`, and nothing reads the name
+/// or its route after the fetch: a monitor's refetch reads no route and
+/// resolves no DNS.
 pub(crate) fn fetch_probe_name(
     world: &mut World,
     opts: &UsernameOptions,
     name: &DnsName,
-    host: &str,
     page: &[u8],
     allow_only: Option<Net>,
 ) -> Result<ProxyResponse, ProxyError> {
@@ -145,14 +145,14 @@ pub(crate) fn fetch_probe_name(
     }
     world
         .web_server_mut()
-        .put(host, "/", Response::ok("text/html", page.to_vec()));
-    let fetched = world.proxy_get(opts, &Uri::http(host, "/"));
+        .put_name(name, "/", Response::ok("text/html", page.to_vec()));
+    let fetched = world.proxy_get(opts, &Uri::http(name.as_str(), "/"));
     let auth = world.auth_server_mut();
     auth.zone_mut().remove(name);
     if allow_only.is_some() {
         auth.clear_override(name);
     }
-    world.web_server_mut().remove(host, "/");
+    world.web_server_mut().remove(name.as_str(), "/");
     fetched
 }
 

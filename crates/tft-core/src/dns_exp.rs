@@ -104,8 +104,6 @@ pub(crate) fn run_shard(
     // loop stops allocating once the buffers reach steady-state capacity.
     use std::fmt::Write as _;
     let mut label = String::new();
-    let mut d1s = String::new();
-    let mut d2s = String::new();
 
     for i in 0..MAX_SAMPLES {
         if sampler.saturated() {
@@ -117,8 +115,6 @@ pub(crate) fn run_shard(
         label.clear();
         let _ = write!(label, "{}d1-{i}", scope.tag);
         let d1 = apex.child(&label).expect("valid label");
-        d1s.clear();
-        let _ = write!(d1s, "{d1}");
 
         let auth_cursor = world.auth_server().log().len();
         let web_cursor = world.web_server().log().len();
@@ -129,7 +125,7 @@ pub(crate) fn run_shard(
         // Step d1, resolvable by everyone: identify the node, its IP, and
         // its resolver.
         let outcome = (|| -> Option<DnsObservation> {
-            let resp = match fetch_probe_name(world, &opts, &d1, &d1s, PROBE_PAGE, None) {
+            let resp = match fetch_probe_name(world, &opts, &d1, PROBE_PAGE, None) {
                 Ok(r) => r,
                 Err(e) => {
                     data.quality.record_error(country, &e);
@@ -166,7 +162,7 @@ pub(crate) fn run_shard(
             };
             let Some(node_ip) = world.web_server().log()[web_cursor..]
                 .iter()
-                .find(|e| e.host == d1s)
+                .find(|e| *e.host == *d1.as_str())
                 .map(|e| e.src)
             else {
                 data.quality.record_failure(country);
@@ -184,14 +180,12 @@ pub(crate) fn run_shard(
             label.clear();
             let _ = write!(label, "{}d2-{i}", scope.tag);
             let d2 = apex.child(&label).expect("valid label");
-            d2s.clear();
-            let _ = write!(d2s, "{d2}");
             let predicate = if exp_opts.naive_google_predicate {
                 google_anycast_net()
             } else {
                 super_proxy_net(super_dns)
             };
-            let d2_result = fetch_probe_name(world, &opts, &d2, &d2s, PROBE_PAGE, Some(predicate));
+            let d2_result = fetch_probe_name(world, &opts, &d2, PROBE_PAGE, Some(predicate));
             let outcome = match d2_result {
                 Err(ProxyError::ExitDnsFailure(debug)) => {
                     if debug.final_zid() != Some(&zid) {

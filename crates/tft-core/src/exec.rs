@@ -288,6 +288,7 @@ pub(crate) fn run_wave(
     // stage-at-a-time driver produces across separate waves — and gather
     // each experiment's shard datasets in shard order.
     let (mut dns, mut http, mut https, mut monitor) = (vec![], vec![], vec![], vec![]);
+    live.reserve_evidence(finished.iter().map(|(_, evidence)| evidence));
     for (data, evidence) in finished {
         live.absorb_evidence(evidence);
         match data {

@@ -190,7 +190,7 @@ fn fetch_object(
     }
     let node_ip = world.web_server().log()[web_cursor..]
         .iter()
-        .find(|e| e.path == obj.path())
+        .find(|e| *e.path == *obj.path())
         .map(|e| e.src)
         .unwrap_or(resp.exit_ip);
     let original = object_body_ref(obj);

@@ -14,6 +14,7 @@ use crate::quality::delivery_outcome;
 use netsim::SimDuration;
 use proxynet::{UsernameOptions, World, ZId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Sampler-seed salt (XORed with virtual time at experiment start).
 const SEED_SALT: u64 = 0x303;
@@ -50,8 +51,8 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
     // once, not re-allocated per sample (DESIGN.md §10).
     let mut opts = UsernameOptions::new(&cfg.customer);
     let apex = world.auth_apex().clone();
-    // zid → (domain, reported exit ip, probe issue time)
-    let mut probed: HashMap<ZId, (String, std::net::Ipv4Addr)> = HashMap::new();
+    // zid → (domain, reported exit ip)
+    let mut probed: HashMap<ZId, (Arc<str>, std::net::Ipv4Addr)> = HashMap::new();
     // Reused per-probe label scratch (see dns_exp.rs).
     use std::fmt::Write as _;
     let mut label = String::new();
@@ -65,10 +66,9 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
         label.clear();
         let _ = write!(label, "{}m{i}", scope.tag);
         let name = apex.child(&label).expect("valid label");
-        let host = name.to_string();
         opts.country = Some(country);
         opts.session = Some(session);
-        match fetch_probe_name(world, &opts, &name, &host, PROBE_PAGE, None) {
+        match fetch_probe_name(world, &opts, &name, PROBE_PAGE, None) {
             Ok(resp) => {
                 let Some(zid) = resp.debug.final_zid().cloned() else {
                     data.quality.record_failure(country);
@@ -77,7 +77,8 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
                 };
                 data.quality.record(country, delivery_outcome(&resp.debug));
                 if sampler.record(&zid) {
-                    probed.insert(zid, (host, resp.exit_ip));
+                    // The observation's domain shares the probe name.
+                    probed.insert(zid, (Arc::clone(name.as_arc()), resp.exit_ip));
                 }
             }
             Err(e) => {
@@ -94,10 +95,10 @@ pub(crate) fn run_shard(world: &mut World, cfg: &StudyConfig, scope: ProbeScope)
     // an observation keeps are cloned.
     let mut by_host: HashMap<&str, Vec<&proxynet::WebLogEntry>> = HashMap::new();
     for e in world.web_server().log_sorted() {
-        by_host.entry(e.host.as_str()).or_default().push(e);
+        by_host.entry(&e.host).or_default().push(e);
     }
     for (zid, (host, exit_ip)) in probed {
-        let entries = by_host.remove(host.as_str()).unwrap_or_default();
+        let entries = by_host.remove(&*host).unwrap_or_default();
         // The node's own request: matches the reported exit address, or —
         // when a VPN hides it — the earliest request carrying our proxy
         // client's UA.
@@ -151,7 +152,7 @@ mod tests {
                 "{name} is still in the zone"
             );
             assert!(
-                !world.web_server_mut().remove(&name.to_string(), "/"),
+                !world.web_server_mut().remove(name.as_str(), "/"),
                 "{name} still has a route"
             );
         }

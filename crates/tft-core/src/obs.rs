@@ -228,8 +228,9 @@ pub struct MonitorObservation {
     pub zid: ZId,
     /// Exit address as reported by the proxy service.
     pub reported_exit_ip: Ipv4Addr,
-    /// The unique probe domain generated for this node.
-    pub domain: String,
+    /// The unique probe domain generated for this node: a refcount on the
+    /// probe name the log entries share.
+    pub domain: Arc<str>,
     /// The node's own request as logged at our web server.
     pub own_request: Option<WebLogEntry>,
     /// Additional, unexpected requests for the same domain within the

@@ -12,6 +12,7 @@ use crate::crawl::{Sampler, MAX_SAMPLES};
 use netsim::SimRng;
 use proxynet::{SmtpProbeResult, UsernameOptions, World, ZId};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// One node's SMTP observation.
 #[derive(Debug, Clone)]
@@ -20,8 +21,8 @@ pub struct SmtpObservation {
     pub zid: ZId,
     /// Reported exit address.
     pub exit_ip: Ipv4Addr,
-    /// Mail host probed.
-    pub mail_host: String,
+    /// Mail host probed, shared with every observation of that host.
+    pub mail_host: Arc<str>,
     /// The probe transcript.
     pub result: SmtpProbeResult,
 }
@@ -43,8 +44,9 @@ pub fn run(world: &mut World, cfg: &StudyConfig) -> SmtpDataset {
         SimRng::new(world.now().as_millis() ^ 0x25),
     );
     let mut pick = SimRng::new(world.now().as_millis() ^ 0x2525);
-    let mail_hosts: Vec<String> = {
-        let mut v: Vec<String> = world.mail_hosts().map(|s| s.to_string()).collect();
+    // Allocated once, sorted: a probe picks a refcount.
+    let mail_hosts: Vec<Arc<str>> = {
+        let mut v: Vec<Arc<str>> = world.mail_hosts().map(Arc::from).collect();
         v.sort();
         v
     };
@@ -62,7 +64,7 @@ pub fn run(world: &mut World, cfg: &StudyConfig) -> SmtpDataset {
         let (country, session) = sampler.next_probe();
         data.samples_issued += 1;
         use netsim::rng::RngExt;
-        let mail_host = mail_hosts[pick.random_range(0..mail_hosts.len())].clone();
+        let mail_host = Arc::clone(&mail_hosts[pick.random_range(0..mail_hosts.len())]);
         let Some(target) = world.mail_site_address(&mail_host) else {
             continue;
         };

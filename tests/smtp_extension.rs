@@ -119,7 +119,7 @@ fn clean_paths_complete_the_tls_upgrade() {
         let Some(chain) = &obs.result.tls_chain else {
             continue;
         };
-        match chains.entry(obs.mail_host.as_str()) {
+        match chains.entry(&obs.mail_host) {
             Entry::Occupied(first) => {
                 assert!(
                     Arc::ptr_eq(first.get(), chain),
