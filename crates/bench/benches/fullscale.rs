@@ -44,17 +44,6 @@ mod clock {
 /// Worker counts the identity/feasibility sweep covers.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// FNV-1a over the rendered report, so the JSON archives a comparable
-/// 64-bit digest instead of megabytes of tables.
-fn digest64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Probes issued across all four experiments in one study run.
 fn probes_issued(report: &StudyReport) -> u64 {
     (report.dns_data.samples_issued
@@ -85,7 +74,9 @@ fn sweep(h: &mut Harness, label: &str, scale: f64, seed: u64) {
             render_tables(&report),
             render_annex(&report, &cfg)
         );
-        let digest = digest64(&rendered);
+        // FNV-1a over the rendered report, so the JSON archives a
+        // comparable 64-bit digest instead of megabytes of tables.
+        let digest = substrate::hash::fnv1a64(rendered.as_bytes());
         match baseline {
             None => baseline = Some((digest, rendered.len())),
             Some((d, len)) => {

@@ -122,7 +122,8 @@ impl DnsCache {
     }
 
     /// Entries currently stored (including expired-but-unswept): at most
-    /// [`SWEEP_FLOOR`] or twice the unexpired entries the last sweep kept.
+    /// the sweep floor of 64 entries or twice the unexpired entries the
+    /// last sweep kept.
     pub fn len(&self) -> usize {
         self.entries.len()
     }

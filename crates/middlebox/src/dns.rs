@@ -95,11 +95,7 @@ impl NxdomainHijacker {
                 // bought) different code. Derive a stable structural
                 // variant from the landing URL so two deployments of the
                 // same bespoke page never hash alike after normalization.
-                let mut tag: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in self.landing_urls[0].bytes() {
-                    tag ^= b as u64;
-                    tag = tag.wrapping_mul(0x1000_0000_01b3);
-                }
+                let tag = substrate::hash::pinned_fnv64(self.landing_urls[0].as_bytes());
                 let var = format!("r{:04x}", tag & 0xffff);
                 match tag % 3 {
                     0 => html.push_str(&format!(

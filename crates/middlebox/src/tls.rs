@@ -17,6 +17,7 @@
 use certs::{CertAuthority, Certificate, DistinguishedName, KeyId};
 use netsim::rng::RngExt;
 use netsim::{SimRng, SimTime};
+use substrate::hash::pinned_fnv64;
 
 /// What the interceptor does with an originally *invalid* server
 /// certificate.
@@ -124,7 +125,7 @@ impl TlsInterceptor {
             Selectivity::PerSiteFraction(p) => {
                 let mut r = self
                     .decision_rng
-                    .fork_indexed("site", fnv(hostname.as_bytes()));
+                    .fork_indexed("site", pinned_fnv64(hostname.as_bytes()));
                 r.random_bool(p)
             }
         }
@@ -165,15 +166,6 @@ impl TlsInterceptor {
             InvalidCertPolicy::PassThrough => None,
         }
     }
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

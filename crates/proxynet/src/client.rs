@@ -1,13 +1,18 @@
-//! The Luminati-client-facing API surface: responses, debug headers, and
-//! errors.
+//! The Luminati-client-facing API surface: responses, debug timelines,
+//! and errors.
+//!
+//! Luminati reports a request's exit node and retry history in its
+//! `X-Hola-Timeline-Debug` response header (§2.3). The simulated proxy
+//! hands the same facts to its client as a [`TimelineDebug`] struct, so
+//! no header is rendered or parsed.
 
 use crate::node::ZId;
 use certs::Certificate;
-use httpwire::{Headers, StatusCode};
+use httpwire::StatusCode;
 use std::fmt;
 use std::sync::Arc;
 
-/// Why one exit-node attempt failed (recorded in the debug header so the
+/// Why one exit-node attempt failed (recorded in the debug timeline so the
 /// client can tell a node-went-offline retry from a real answer — §2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttemptOutcome {
@@ -23,24 +28,6 @@ pub enum AttemptOutcome {
     DnsError,
     /// The exchange stalled past the per-request deadline.
     TimedOut,
-    /// An outcome token this client version does not recognize. Produced
-    /// only by [`TimelineDebug::parse`]: a newer proxy version emitting a
-    /// new token must not erase the rest of the attempt evidence.
-    Unknown,
-}
-
-impl fmt::Display for AttemptOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AttemptOutcome::Success => "success",
-            AttemptOutcome::Offline => "offline",
-            AttemptOutcome::Flaked => "conn_failed",
-            AttemptOutcome::DnsError => "dns_error",
-            AttemptOutcome::TimedOut => "timeout",
-            AttemptOutcome::Unknown => "unknown",
-        };
-        f.write_str(s)
-    }
 }
 
 /// One exit-node attempt in the debug timeline.
@@ -52,7 +39,7 @@ pub struct Attempt {
     pub outcome: AttemptOutcome,
 }
 
-/// The parsed `X-Hola-Timeline-Debug` information.
+/// The content of the paper's `X-Hola-Timeline-Debug` header.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TimelineDebug {
     /// All exit nodes tried, in order, with per-attempt outcomes.
@@ -65,46 +52,6 @@ impl TimelineDebug {
     pub fn final_zid(&self) -> Option<&ZId> {
         self.attempts.last().map(|a| &a.zid)
     }
-
-    /// Render as the header value: one `String` built in place, not a
-    /// per-attempt `format!` pile joined at the end.
-    pub fn to_header_value(&self) -> String {
-        use std::fmt::Write as _;
-        // "z" + 16 hex digits + "=" + outcome token + separator.
-        let mut out = String::with_capacity(self.attempts.len() * 32);
-        for (i, a) in self.attempts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}={}", a.zid, a.outcome);
-        }
-        out
-    }
-
-    /// Parse from a header value. A structurally broken entry (no `=`, or
-    /// a zID spelled in anything but the proxy's canonical form) still
-    /// fails the whole parse, but an *unrecognized outcome token* maps to
-    /// [`AttemptOutcome::Unknown`]: one new token from a newer proxy
-    /// version must not erase the rest of the attempt evidence.
-    pub fn parse(value: &str) -> Option<TimelineDebug> {
-        let mut attempts = Vec::new();
-        for part in value.split(',').filter(|p| !p.is_empty()) {
-            let (zid, outcome) = part.split_once('=')?;
-            let outcome = match outcome {
-                "success" => AttemptOutcome::Success,
-                "offline" => AttemptOutcome::Offline,
-                "conn_failed" => AttemptOutcome::Flaked,
-                "dns_error" => AttemptOutcome::DnsError,
-                "timeout" => AttemptOutcome::TimedOut,
-                _ => AttemptOutcome::Unknown,
-            };
-            attempts.push(Attempt {
-                zid: ZId::parse(zid)?,
-                outcome,
-            });
-        }
-        Some(TimelineDebug { attempts })
-    }
 }
 
 /// A successful proxied HTTP response.
@@ -112,12 +59,10 @@ impl TimelineDebug {
 pub struct ProxyResponse {
     /// Origin status code.
     pub status: StatusCode,
-    /// Response headers, including `X-Hola-Timeline-Debug`.
-    pub headers: Headers,
     /// Response body as delivered through the tunnel (possibly modified in
     /// flight — detecting that is the whole experiment).
     pub body: Vec<u8>,
-    /// Parsed debug timeline.
+    /// The debug timeline.
     pub debug: TimelineDebug,
     /// The exit node's public address as the service reports it (Luminati
     /// exposes this; §7.2.1's VPN detection compares it against the source
@@ -215,81 +160,6 @@ impl ProxyError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timeline_header_roundtrip() {
-        let d = TimelineDebug {
-            attempts: vec![
-                Attempt {
-                    zid: ZId(0xaaaa),
-                    outcome: AttemptOutcome::Offline,
-                },
-                Attempt {
-                    zid: ZId(0xbbbb),
-                    outcome: AttemptOutcome::Success,
-                },
-            ],
-        };
-        let v = d.to_header_value();
-        assert_eq!(v, "z000000000000aaaa=offline,z000000000000bbbb=success");
-        assert_eq!(TimelineDebug::parse(&v).unwrap(), d);
-        assert_eq!(d.final_zid(), Some(&ZId(0xbbbb)));
-    }
-
-    #[test]
-    fn timeline_parse_rejects_structural_garbage() {
-        assert!(TimelineDebug::parse("no-equals-here").is_none());
-        assert!(TimelineDebug::parse("z000000000000000a=success,no-equals-here").is_none());
-        // A zID spelled in anything but the canonical form is garbage too.
-        assert!(TimelineDebug::parse("za=success").is_none());
-        assert_eq!(TimelineDebug::parse("").unwrap(), TimelineDebug::default());
-    }
-
-    #[test]
-    fn unknown_outcome_token_does_not_erase_the_timeline() {
-        // Regression: an unrecognized token used to bail the whole parse,
-        // discarding every attempt's evidence. It must map to Unknown and
-        // keep the rest of the timeline intact.
-        let header = format!(
-            "{}=offline,{}=exploded,{}=success",
-            ZId(0xa),
-            ZId(0xb),
-            ZId(0xc)
-        );
-        let parsed =
-            TimelineDebug::parse(&header).expect("one new token must not erase attempt evidence");
-        assert_eq!(parsed.attempts.len(), 3);
-        assert_eq!(parsed.attempts[0].outcome, AttemptOutcome::Offline);
-        assert_eq!(parsed.attempts[1].outcome, AttemptOutcome::Unknown);
-        assert_eq!(parsed.attempts[2].outcome, AttemptOutcome::Success);
-        assert_eq!(parsed.final_zid(), Some(&ZId(0xc)));
-        // Unknown re-renders as the literal "unknown" token and survives a
-        // second round trip.
-        let rendered = parsed.to_header_value();
-        assert_eq!(
-            rendered,
-            format!(
-                "{}=offline,{}=unknown,{}=success",
-                ZId(0xa),
-                ZId(0xb),
-                ZId(0xc)
-            )
-        );
-        assert_eq!(TimelineDebug::parse(&rendered).unwrap(), parsed);
-    }
-
-    #[test]
-    fn new_outcome_tokens_roundtrip() {
-        let d = TimelineDebug {
-            attempts: vec![Attempt {
-                zid: ZId(0xb),
-                outcome: AttemptOutcome::TimedOut,
-            }],
-        };
-        let v = d.to_header_value();
-        assert_eq!(v, format!("{}=timeout", ZId(0xb)));
-        assert_eq!(TimelineDebug::parse(&v).unwrap(), d);
-    }
 
     #[test]
     fn error_debug_accessor() {

@@ -28,6 +28,7 @@ use netsim::{
 };
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+use substrate::hash::pinned_fnv64;
 
 /// Maximum exit-node attempts per request (Luminati retries up to five
 /// times, §2.3).
@@ -323,9 +324,10 @@ impl World {
             // Same label bytes as the historical `format!("monitor-{idx}")`,
             // pre-rendered at registration so the seed derivation (and the
             // goldens pinning it) is untouched.
-            let mut rng = self
-                .rng
-                .fork_indexed(&self.monitor_fork_labels[idx], node_id.0 as u64 ^ fnv(host));
+            let mut rng = self.rng.fork_indexed(
+                &self.monitor_fork_labels[idx],
+                node_id.0 as u64 ^ pinned_fnv64(host.as_bytes()),
+            );
             let plan = entity.plan(&mut rng);
             for refetch in plan {
                 let at = match refetch.offset {
@@ -607,16 +609,11 @@ impl World {
         });
         self.advance_to(t_back);
 
-        let exit_ip = self.nodes[node_id.0 as usize].ip;
-        let mut headers = std::mem::take(&mut resp.headers);
-        headers.set("X-Hola-Timeline-Debug", &exit.debug.to_header_value());
-        headers.set("X-Hola-Unblocker-Debug", &format!("zid={zid} ip={exit_ip}"));
         Ok(ProxyResponse {
             status: resp.status,
-            headers,
             body: resp.body,
             debug: exit.debug,
-            exit_ip,
+            exit_ip: self.nodes[node_id.0 as usize].ip,
         })
     }
 
@@ -731,13 +728,4 @@ pub(crate) struct ReachedExit {
     pub at: SimTime,
     pub verdict: FaultVerdict,
     pub debug: TimelineDebug,
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }

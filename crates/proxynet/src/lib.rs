@@ -6,10 +6,12 @@
 //!
 //! - [`node`]: exit nodes (Hola peers) with platform eligibility, resolver
 //!   configuration, churn, and installed violating software;
-//! - [`username`]: the `-country-XX` / `-session-N` / `-dns-remote`
-//!   username parameters;
+//! - [`username`]: the routing options Luminati carries as
+//!   `-country-XX` / `-session-N` / `-dns-remote` username parameters,
+//!   taken here as a struct;
 //! - [`session`]: 60-second session stickiness;
-//! - [`client`]: responses, `X-Hola-Timeline-Debug` timelines, errors;
+//! - [`client`]: responses, the debug timelines Luminati sends as
+//!   `X-Hola-Timeline-Debug` headers (here a struct), errors;
 //! - [`servers`]: the measurement web server (request log!), origin sites,
 //!   landing servers;
 //! - [`world`] / [`flows`]: the [`World`] runtime and the request flows of
@@ -49,5 +51,5 @@ pub use node::{ExitNode, HostSoftware, NodeId, Platform, ResolverChoice, ZId};
 pub use servers::{OriginSite, WebLogEntry, WebServer};
 pub use session::{SessionTable, SESSION_TTL};
 pub use smtp_flow::{MailSite, SmtpProbeResult};
-pub use username::{UsernameError, UsernameOptions};
+pub use username::UsernameOptions;
 pub use world::{IspHttp, ResolverDef, ShardEvidence, World};

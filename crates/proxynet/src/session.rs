@@ -109,7 +109,8 @@ impl SessionTable {
     }
 
     /// Number of stored pins, including expired ones not yet swept: at most
-    /// [`SWEEP_FLOOR`] or twice the fresh pins the last sweep kept.
+    /// the sweep floor of 64 pins or twice the fresh pins the last sweep
+    /// kept.
     pub fn len(&self) -> usize {
         self.entries.values().map(HashMap::len).sum()
     }

@@ -1,14 +1,15 @@
-//! Luminati username parameters.
+//! Luminati routing options.
 //!
 //! Luminati clients steer routing by appending parameters to their proxy
 //! username: `-country-XX` selects the exit country, `-session-N` pins an
 //! exit node for 60 seconds, and `-dns-remote` moves DNS resolution from
-//! the super proxy to the exit node (§2.3).
+//! the super proxy to the exit node (§2.3). The simulated proxy takes the
+//! same options as a [`UsernameOptions`] struct, so no username is
+//! rendered or parsed.
 
 use inetdb::CountryCode;
-use std::fmt;
 
-/// Parsed routing options carried in the proxy username.
+/// The routing options a Luminati client carries in its proxy username.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct UsernameOptions {
     /// Base customer name (before the first option).
@@ -21,32 +22,6 @@ pub struct UsernameOptions {
     /// Resolve DNS at the exit node instead of the super proxy.
     pub dns_remote: bool,
 }
-
-/// Errors parsing a username.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UsernameError {
-    /// Empty customer segment.
-    EmptyCustomer,
-    /// `-country-` not followed by a two-letter code.
-    BadCountry(String),
-    /// `-session-` not followed by a number.
-    BadSession(String),
-    /// Unrecognized option segment.
-    UnknownOption(String),
-}
-
-impl fmt::Display for UsernameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            UsernameError::EmptyCustomer => write!(f, "empty customer name"),
-            UsernameError::BadCountry(s) => write!(f, "bad country code: {s:?}"),
-            UsernameError::BadSession(s) => write!(f, "bad session id: {s:?}"),
-            UsernameError::UnknownOption(s) => write!(f, "unknown username option: {s:?}"),
-        }
-    }
-}
-
-impl std::error::Error for UsernameError {}
 
 impl UsernameOptions {
     /// Options for a customer with no routing parameters.
@@ -73,115 +48,5 @@ impl UsernameOptions {
     pub fn dns_remote(mut self) -> Self {
         self.dns_remote = true;
         self
-    }
-
-    /// Render as the wire username.
-    pub fn to_username(&self) -> String {
-        let mut s = self.customer.clone();
-        if let Some(cc) = self.country {
-            s.push_str(&format!("-country-{}", cc.as_str().to_ascii_lowercase()));
-        }
-        if let Some(id) = self.session {
-            s.push_str(&format!("-session-{id}"));
-        }
-        if self.dns_remote {
-            s.push_str("-dns-remote");
-        }
-        s
-    }
-
-    /// Parse a wire username.
-    pub fn parse(username: &str) -> Result<Self, UsernameError> {
-        let mut parts = username.split('-');
-        let customer = parts.next().unwrap_or_default().to_string();
-        if customer.is_empty() {
-            return Err(UsernameError::EmptyCustomer);
-        }
-        let mut opts = UsernameOptions::new(&customer);
-        let rest: Vec<&str> = parts.collect();
-        let mut i = 0;
-        while i < rest.len() {
-            match rest[i] {
-                "country" => {
-                    let code = rest.get(i + 1).copied().unwrap_or_default();
-                    opts.country = Some(
-                        code.parse()
-                            .map_err(|_| UsernameError::BadCountry(code.to_string()))?,
-                    );
-                    i += 2;
-                }
-                "session" => {
-                    let id = rest.get(i + 1).copied().unwrap_or_default();
-                    opts.session = Some(
-                        id.parse()
-                            .map_err(|_| UsernameError::BadSession(id.to_string()))?,
-                    );
-                    i += 2;
-                }
-                "dns" if rest.get(i + 1) == Some(&"remote") => {
-                    opts.dns_remote = true;
-                    i += 2;
-                }
-                other => return Err(UsernameError::UnknownOption(other.to_string())),
-            }
-        }
-        Ok(opts)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cc(s: &str) -> CountryCode {
-        CountryCode::new(s)
-    }
-
-    #[test]
-    fn roundtrip_all_options() {
-        let opts = UsernameOptions::new("lum1")
-            .country(cc("MY"))
-            .session(429)
-            .dns_remote();
-        let u = opts.to_username();
-        assert_eq!(u, "lum1-country-my-session-429-dns-remote");
-        assert_eq!(UsernameOptions::parse(&u).unwrap(), opts);
-    }
-
-    #[test]
-    fn roundtrip_plain() {
-        let opts = UsernameOptions::new("cust");
-        assert_eq!(UsernameOptions::parse("cust").unwrap(), opts);
-    }
-
-    #[test]
-    fn roundtrip_each_single_option() {
-        for opts in [
-            UsernameOptions::new("c").country(cc("US")),
-            UsernameOptions::new("c").session(1),
-            UsernameOptions::new("c").dns_remote(),
-        ] {
-            assert_eq!(UsernameOptions::parse(&opts.to_username()).unwrap(), opts);
-        }
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert_eq!(
-            UsernameOptions::parse(""),
-            Err(UsernameError::EmptyCustomer)
-        );
-        assert!(matches!(
-            UsernameOptions::parse("c-country-zzz"),
-            Err(UsernameError::BadCountry(_))
-        ));
-        assert!(matches!(
-            UsernameOptions::parse("c-session-abc"),
-            Err(UsernameError::BadSession(_))
-        ));
-        assert!(matches!(
-            UsernameOptions::parse("c-turbo"),
-            Err(UsernameError::UnknownOption(_))
-        ));
     }
 }

@@ -688,11 +688,10 @@ impl World {
 
     /// The anycast instance a Google-DNS-configured node in `country` hits.
     pub(crate) fn google_instance_for(&self, country: CountryCode, node: NodeId) -> Ipv4Addr {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in country.as_str().bytes().chain(node.0.to_be_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+        let mut key = [0u8; 6];
+        key[..2].copy_from_slice(country.as_str().as_bytes());
+        key[2..].copy_from_slice(&node.0.to_be_bytes());
+        let h = substrate::hash::pinned_fnv64(&key);
         self.google_anycast[(h % self.google_anycast.len() as u64) as usize]
     }
 }

@@ -6,16 +6,44 @@
 //! (`tft-serve`'s `spec_hash`) must be **byte-stable across platforms,
 //! processes, and releases**, so this module pins its own function:
 //! FNV-1a over the input bytes, finished with the splitmix64 avalanche —
-//! the same construction `netsim::SimRng::fork` has pinned goldens for.
+//! the construction `netsim::SimRng::fork` uses too, there with
+//! [`pinned_fnv64`]'s multiplier.
 //!
 //! The constants and the finalizer are part of the public contract: the
 //! golden values in the tests below must never change, or every cached
 //! artifact keyed by a stable hash silently orphans.
+//!
+//! Two unfinished forms sit beside it: [`fnv1a64`], the FNV-1a state
+//! [`stable64`] finishes, and [`pinned_fnv64`], the simulator's variant
+//! that its forks and map keys are derived with.
 
 use crate::rng::mix64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const PINNED_PRIME: u64 = 0x0000_1000_0000_01b3;
+
+/// FNV-1a's loop from `state` over `bytes` with multiplier `prime`.
+fn absorb(state: u64, prime: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(state, |h, &b| (h ^ b as u64).wrapping_mul(prime))
+}
+
+/// FNV-1a over `bytes`, without the avalanche [`stable64`] finishes with.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    absorb(FNV_OFFSET, FNV_PRIME, bytes)
+}
+
+/// The simulator's own FNV-1a variant: FNV-1a's offset basis and loop,
+/// but multiplier `0x1000_0000_01b3` where FNV's prime is
+/// `0x100_0000_01b3`, and no avalanche. Monitor and site RNG forks,
+/// anycast picks, landing-page variants and page-cluster keys are derived
+/// with it, and rendered output depends on every one of them, so it keeps
+/// its multiplier. It is not [`fnv1a64`].
+pub fn pinned_fnv64(bytes: &[u8]) -> u64 {
+    absorb(FNV_OFFSET, PINNED_PRIME, bytes)
+}
 
 /// Hash `bytes` to a stable 64-bit value.
 ///
@@ -43,10 +71,7 @@ impl Hasher64 {
 
     /// Absorb `bytes`.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.state = absorb(self.state, FNV_PRIME, bytes);
     }
 
     /// Finish with the splitmix64 avalanche so short or similar inputs
@@ -78,6 +103,24 @@ mod tests {
             stable64(b"The quick brown fox jumps over the lazy dog"),
             0x1e8e_6a07_9b16_7ea7
         );
+    }
+
+    #[test]
+    fn fnv1a64_is_the_state_stable64_finishes() {
+        // FNV-1a's published test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        for b in [&b""[..], b"a", b"spec", b"study-0", b"study-1"] {
+            assert_eq!(stable64(b), mix64(fnv1a64(b)));
+        }
+    }
+
+    /// Rendered output depends on these: a failure here changes it.
+    #[test]
+    fn pinned_fnv64_golden_values() {
+        assert_eq!(pinned_fnv64(b""), fnv1a64(b""));
+        assert_eq!(pinned_fnv64(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(pinned_fnv64(b"spec"), 0xc107_0c19_0932_153e);
     }
 
     #[test]

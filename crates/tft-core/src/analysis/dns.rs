@@ -200,15 +200,6 @@ pub fn normalize_hijack_js(content: &[u8]) -> Option<String> {
     Some(out)
 }
 
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 fn in_google_anycast(ip: Ipv4Addr) -> bool {
     let o = ip.octets();
     o[0] == 74 && o[1] == 125
@@ -453,7 +444,7 @@ pub fn analyze(data: &DnsDataset, world: &World, cfg: &StudyConfig) -> DnsAnalys
             .map(|o| o.name.clone())
             .unwrap_or_else(|| "unknown".into());
         let agg = js_families
-            .entry(fnv64(&normalized))
+            .entry(substrate::hash::pinned_fnv64(normalized.as_bytes()))
             .or_insert(JsFamilyAgg {
                 isps: BTreeSet::new(),
                 nodes: 0,

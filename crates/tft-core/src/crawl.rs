@@ -5,7 +5,7 @@
 //! pick a fresh random session number, and measure whichever node answers —
 //! stopping when the rate of *new* zIDs drops off (the network is dynamic,
 //! so "all nodes" is never reached). Each probe fetches a name of its own
-//! (§4.1), provisioned for that one fetch ([`fetch_probe_name`]).
+//! (§4.1), provisioned for that one fetch and withdrawn after it.
 
 use dnswire::server::inetdb_net::Net;
 use dnswire::{AnswerOverride, DnsName};

@@ -5,7 +5,7 @@
 //!
 //! 1. **d₁** resolves for everyone. Fetching `http://d₁/` through the node
 //!    reveals (a) the node's resolver address in our DNS log, (b) the
-//!    node's IP in our web log, and (c) its zID in the debug header.
+//!    node's IP in our web log, and (c) its zID in the debug timeline.
 //! 2. **d₂** answers NXDOMAIN to everyone *except* the super proxy's
 //!    Google resolver (so the super proxy agrees to forward). Fetching
 //!    `http://d₂/` with the same session then either fails with a DNS

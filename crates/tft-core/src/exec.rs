@@ -482,6 +482,8 @@ mod tests {
                 data,
                 format!("{:?}", world.now()),
                 world.bytes_billed(&cfg.customer),
+                world.web_server().log().to_vec(),
+                world.auth_server().log().to_vec(),
             )
         };
         let reference = run(1, true);
